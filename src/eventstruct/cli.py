@@ -54,7 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for es counting (default: available cores)",
+        help=(
+            "worker processes for es counting (default: available cores); "
+            "for n <= 6, capped at the number of 1,024-poset batches"
+        ),
     )
     p_count.set_defaults(func=_cmd_count)
 

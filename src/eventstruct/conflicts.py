@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 from .relations import (
     Rel,
+    columns,
     domain_of,
+    field_of,
     image,
     immediate_successors,
     is_partial_order,
     minimal_elements,
     remove_element,
+    rows_to_rel,
 )
 
 
@@ -48,28 +51,25 @@ def _require_poset(p: Rel) -> None:
 def choose_pivot(p: Rel) -> PivotResult:
     """Minimal element with the most immediate successors, smallest id on ties.
 
-    Maximizing the successor count keeps the conflict-set intersection taken
-    over those successors small, which shrinks the subset space explored per
-    extension step.  p must be a partial order.
+    This is the default pivot of allowed_conflicts.  It does not make the
+    recursion faster: counting every structure at n = 6 took 8.78 s with
+    it against 8.21 s with choose_pivot_first (one run each, CPython 3.11
+    on a 2-core host).  p must be a partial order.
     """
-    p = frozenset(p)
-    if not p:
-        return PivotResult(None, p)
-    counts = {m: len(immediate_successors(p, m)) for m in minimal_elements(p)}
-    best = None
-    best_count = -1
-    for m in sorted(counts):
-        if counts[m] > best_count:
-            best, best_count = m, counts[m]
-    return PivotResult(best, remove_element(p, best))
+    return _choose(p, heuristic=True)
 
 
 def choose_pivot_first(p: Rel) -> PivotResult:
     """Smallest-id minimal element, with no further criterion."""
+    return _choose(p, heuristic=False)
+
+
+def _choose(p: Rel, *, heuristic: bool) -> PivotResult:
     p = frozenset(p)
     if not p:
         return PivotResult(None, p)
-    m = min(minimal_elements(p))
+    rows, ids = _pack_poset(p)
+    m = ids[_pivot_packed(rows, columns(rows), (1 << len(rows)) - 1, heuristic)[0]]
     return PivotResult(m, remove_element(p, m))
 
 
@@ -112,19 +112,19 @@ def allowed_conflicts(
     """Duplicate-free list of every conflict relation valid for the poset p."""
     p = frozenset(p)
     _require_poset(p)
-    rows, active, n = _pack_poset(p)
+    rows, ids = _pack_poset(p)
     packed = _conflicts_packed(
-        rows, n, active, heuristic=_heuristic(pivot), immediate_only=immediate_only
+        rows, heuristic=_heuristic(pivot), immediate_only=immediate_only
     )
-    return [_unpack_conflict(conf, n) for conf in packed]
+    return [_unpack_conflict(conf, ids) for conf in packed]
 
 
 def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
     """len(allowed_conflicts(p)) without materializing the top-level list."""
     p = frozenset(p)
     _require_poset(p)
-    rows, active, n = _pack_poset(p)
-    return _conflicts_packed(rows, n, active, heuristic=_heuristic(pivot), count_only=True)
+    rows, _ = _pack_poset(p)
+    return _count_packed(rows, heuristic=_heuristic(pivot))
 
 
 def _heuristic(pivot: str) -> bool:
@@ -134,35 +134,28 @@ def _heuristic(pivot: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Packed implementation.  A poset over ids < n is a list of n int rows
-# (bit j of rows[i] set iff (i, j) in the order) plus anActive mask of
-# present ids; a conflict is an n-tuple of symmetric bitmask rows.
+# Packed implementation.  A poset on k events is a list of k int rows over
+# the compact indices 0..k-1 of its sorted ids: bit j of rows[i] is set iff
+# (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
+# bitmask rows over the same indices.
 # ---------------------------------------------------------------------------
 
 
-def _pack_poset(p: Rel) -> tuple[list[int], int, int]:
-    if not p:
-        return [], 0, 0
-    n = max(max(x, y) for x, y in p) + 1
-    rows = [0] * n
-    active = 0
+def _pack_poset(p: Rel) -> tuple[list[int], tuple[int, ...]]:
+    """Rows of p over the indices of its sorted field, and that field."""
+    ids = tuple(sorted(field_of(p)))
+    if ids and ids[0] < 0:
+        raise ValueError("event ids must be natural numbers")
+    index = {x: i for i, x in enumerate(ids)}
+    rows = [0] * len(ids)
     for x, y in p:
-        if x < 0 or y < 0:
-            raise ValueError("event ids must be natural numbers")
-        rows[x] |= 1 << y
-        active |= (1 << x) | (1 << y)
-    return rows, active, n
+        rows[index[x]] |= 1 << index[y]
+    return rows, ids
 
 
-def _unpack_conflict(conf: tuple[int, ...], n: int) -> Rel:
-    pairs = []
-    for i in range(n):
-        t = conf[i]
-        while t:
-            low = t & -t
-            pairs.append((i, low.bit_length() - 1))
-            t ^= low
-    return frozenset(pairs)
+# Conflicts are unpacked through this module attribute, which the
+# benchmark's traced run wraps to time unpacking.
+_unpack_conflict = rows_to_rel
 
 
 def _pivot_packed(rows, cols, s: int, heuristic: bool):
@@ -197,8 +190,6 @@ def _pivot_packed(rows, cols, s: int, heuristic: bool):
 
 def _conflicts_packed(
     rows,
-    n: int,
-    active: int,
     *,
     heuristic: bool = True,
     immediate_only: bool = True,
@@ -214,18 +205,13 @@ def _conflicts_packed(
     """
     if dedupe not in ("final", "late", "naive"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
-    cols = [0] * n
-    for i in range(n):
-        t = rows[i]
-        while t:
-            low = t & -t
-            cols[low.bit_length() - 1] |= 1 << i
-            t ^= low
+    n = len(rows)
+    cols = columns(rows)
 
     # Pivot chain is independent of the conflicts, so fix it up front:
     # chain[k] describes the step removing pivot m_k from sub-poset s_k.
     chain = []
-    s = active
+    s = (1 << n) - 1
     while s:
         m, succ, imm = _pivot_packed(rows, cols, s, heuristic)
         s1 = s & ~(1 << m)
@@ -287,7 +273,5 @@ def _conflicts_packed(
     return len(set(confs))
 
 
-def _count_packed(rows, n: int, active: int, *, heuristic=True, dedupe="final") -> int:
-    return _conflicts_packed(
-        rows, n, active, heuristic=heuristic, dedupe=dedupe, count_only=True
-    )
+def _count_packed(rows, *, heuristic=True, dedupe="final") -> int:
+    return _conflicts_packed(rows, heuristic=heuristic, dedupe=dedupe, count_only=True)

@@ -10,7 +10,9 @@ across worker processes; enumeration stays sequential and deterministic
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import conflicts, order_enum
@@ -37,11 +39,11 @@ class CountTable:
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
     """Yield every event structure over {0..n-1}, without repetition."""
-    active = (1 << n) - 1
+    ids = tuple(range(n))
     for rows in order_enum._poset_rows(n):
         causality = matrix_to_rel(BoolMatrix(n, rows))
-        for conf in conflicts._conflicts_packed(rows, n, active):
-            yield EventStructure(causality, conflicts._unpack_conflict(conf, n))
+        for conf in conflicts._conflicts_packed(rows):
+            yield EventStructure(causality, conflicts._unpack_conflict(conf, ids))
 
 
 def count_event_structures(
@@ -50,25 +52,12 @@ def count_event_structures(
     """Number of event structures over {0..n-1}.
 
     workers > 1 partitions the poset list across processes; the sum is
-    exact and independent of scheduling.
+    exact and independent of scheduling.  For n <= 6 no more workers
+    start than there are batches of 1,024 posets (one up to n = 4).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    total_posets = _posets_total_if_cheap(n) if progress is not None else None
-    if workers == 1:
-        return _count_sequential(n, progress, total_posets)
-
-    active = (1 << n) - 1
-    total = 0
-    done = 0
-    batches = ((n, active, batch) for batch in _batched(order_enum._poset_rows(n)))
-    with multiprocessing.Pool(workers) as pool:
-        for subtotal, size in pool.imap_unordered(_count_batch, batches):
-            total += subtotal
-            done += size
-            if progress is not None:
-                progress(done, total_posets)
-    return total
+    return _count(n, workers=workers, progress=progress)[0]
 
 
 def count_event_structures_variant(
@@ -85,57 +74,52 @@ def count_event_structures_variant(
     command measures.
     """
     heuristic = conflicts._heuristic(pivot)
-    total_posets = _posets_total_if_cheap(n) if progress is not None else None
-    active = (1 << n) - 1
-    total = 0
-    done = 0
-    for rows in order_enum._poset_rows(n):
-        total += conflicts._count_packed(
-            rows, n, active, heuristic=heuristic, dedupe=dedupe
-        )
-        done += 1
-        if progress is not None and done % _BATCH_SIZE == 0:
-            progress(done, total_posets)
-    if progress is not None:
-        progress(done, total_posets)
-    return total
+    return _count(n, heuristic=heuristic, dedupe=dedupe, progress=progress)[0]
 
 
 def counts_up_to(max_n: int) -> CountTable:
     """Preorder, poset and event-structure counts for every n in 0..max_n."""
     out = []
     for k in range(max_n + 1):
-        preorders = order_enum.count_preorders(k)
-        active = (1 << k) - 1
-        posets = 0
-        structures = 0
-        for rows in order_enum._poset_rows(k):
-            posets += 1
-            structures += conflicts._count_packed(rows, k, active)
-        out.append(CountRow(k, preorders, posets, structures))
+        structures, posets = _count(k)
+        out.append(CountRow(k, order_enum.count_preorders(k), posets, structures))
     return CountTable(tuple(out))
 
 
-def _count_sequential(n: int, progress: ProgressFn | None, total_posets: int | None) -> int:
-    active = (1 << n) - 1
-    total = 0
-    done = 0
-    for rows in order_enum._poset_rows(n):
-        total += conflicts._count_packed(rows, n, active)
-        done += 1
-        if progress is not None and done % _BATCH_SIZE == 0:
-            progress(done, total_posets)
-    if progress is not None:
-        progress(done, total_posets)
-    return total
+def _count(
+    n: int,
+    *,
+    workers: int = 1,
+    heuristic: bool = True,
+    dedupe: str = "final",
+    progress: ProgressFn | None = None,
+) -> tuple[int, int]:
+    """(event structures, posets) over {0..n-1}, counted batch by batch.
+
+    Cached orders are listed up front, which gives progress its total
+    without a second pass; longer streams report a total of None.
+    """
+    batches: Iterable[list] = _batched(order_enum._poset_rows(n))
+    total = None
+    if n <= order_enum._CACHE_MAX_ORDER:
+        batches = list(batches)
+        total = sum(map(len, batches))
+        workers = min(workers, len(batches))
+    count_batch = partial(_count_batch, heuristic=heuristic, dedupe=dedupe)
+    structures = posets = 0
+    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.imap_unordered
+        for subtotal, size in mapper(count_batch, batches):
+            structures += subtotal
+            posets += size
+            if progress is not None:
+                progress(posets, total)
+    return structures, posets
 
 
-def _count_batch(args) -> tuple[int, int]:
-    n, active, batch = args
-    return (
-        sum(conflicts._count_packed(rows, n, active) for rows in batch),
-        len(batch),
-    )
+def _count_batch(batch: list, *, heuristic: bool, dedupe: str) -> tuple[int, int]:
+    count = partial(conflicts._count_packed, heuristic=heuristic, dedupe=dedupe)
+    return sum(map(count, batch)), len(batch)
 
 
 def _batched(items: Iterable, size: int = _BATCH_SIZE) -> Iterator[list]:
@@ -147,10 +131,3 @@ def _batched(items: Iterable, size: int = _BATCH_SIZE) -> Iterator[list]:
             batch = []
     if batch:
         yield batch
-
-
-def _posets_total_if_cheap(n: int) -> int | None:
-    # Beyond the cache ceiling a count would re-run the whole stream.
-    if n <= order_enum._CACHE_MAX_ORDER:
-        return order_enum.count_posets(n)
-    return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .relations import BoolMatrix, Rel, matrix_to_rel
+from .relations import BoolMatrix, Rel, columns, matrix_to_rel
 
 RowTuple = tuple[int, ...]
 
@@ -39,17 +39,6 @@ class ExtensionPair:
     def __post_init__(self) -> None:
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have the same length")
-
-
-def _columns(rows: RowTuple, k: int) -> list[int]:
-    cols = [0] * k
-    for i, row in enumerate(rows):
-        t = row
-        while t:
-            low = t & -t
-            cols[low.bit_length() - 1] |= 1 << i
-            t ^= low
-    return cols
 
 
 def _closed_masks(constraints: list[int], k: int) -> list[int]:
@@ -74,10 +63,9 @@ def _extension_groups(rows: RowTuple, k: int) -> Iterator[tuple[int, list[int]]]
     row masks up-closed under it; a pair is valid when beta is contained in
     the intersection of the rows selected by alpha.
     """
-    cols = _columns(rows, k)
     ups = _closed_masks(list(rows), k)
     full = (1 << k) - 1
-    for alpha in _closed_masks(cols, k):
+    for alpha in _closed_masks(columns(rows), k):
         need = full
         t = alpha
         while t:

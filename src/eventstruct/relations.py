@@ -9,7 +9,7 @@ functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
 Rel = frozenset[Pair]
@@ -180,15 +180,33 @@ class BoolMatrix:
         return [[self.entry(i, j) for j in range(self.order)] for i in range(self.order)]
 
 
-def matrix_to_rel(a: BoolMatrix) -> Rel:
-    """Pairs (i, j) for every true entry of a."""
-    pairs = []
-    for i, row in enumerate(a.rows):
+def columns(rows: Sequence[int]) -> list[int]:
+    """Transpose of a square bitmask matrix: bit i of columns[j] is bit j of rows[i]."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
         while row:
             low = row & -row
-            pairs.append((i, low.bit_length() - 1))
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
+def rows_to_rel(rows: Sequence[int], ids: Sequence[int]) -> Rel:
+    """Pairs (ids[i], ids[j]) for every set bit j of rows[i]."""
+    pairs = []
+    for i, row in enumerate(rows):
+        x = ids[i]
+        while row:
+            low = row & -row
+            pairs.append((x, ids[low.bit_length() - 1]))
             row ^= low
     return frozenset(pairs)
+
+
+def matrix_to_rel(a: BoolMatrix) -> Rel:
+    """Pairs (i, j) for every true entry of a."""
+    return rows_to_rel(a.rows, range(a.order))
 
 
 def rel_to_matrix(r: Rel, n: int) -> BoolMatrix:

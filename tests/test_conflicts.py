@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventstruct.conflicts import (
     PivotResult,
@@ -10,7 +12,12 @@ from eventstruct.conflicts import (
 )
 from eventstruct.oracle import brute_force_conflicts
 from eventstruct.order_enum import enumerate_posets
-from eventstruct.relations import is_event_structure, minimal_elements, remove_element
+from eventstruct.relations import (
+    is_event_structure,
+    minimal_elements,
+    reflexive_transitive_closure,
+    remove_element,
+)
 
 CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
 ANTICHAIN2 = frozenset({(0, 0), (1, 1)})
@@ -161,3 +168,40 @@ def test_sparse_ids_are_supported():
     assert allowed_conflicts(p) == [frozenset()]
     q = frozenset({(2, 2), (4, 4)})
     assert set(allowed_conflicts(q)) == {frozenset(), frozenset({(2, 4), (4, 2)})}
+
+
+def _relabel(p, ids):
+    return frozenset((ids[x], ids[y]) for x, y in p)
+
+
+def test_large_sparse_ids():
+    # ids are compacted before packing, so a large id costs no more than a small one
+    ids = [0, 10**5, 2 * 10**5, 3 * 10**5, 4 * 10**5]
+    for p in (frozenset((i, i) for i in range(5)), frozenset({(0, 1), (0, 2), (3, 4)})):
+        p = reflexive_transitive_closure(p, range(5))
+        expected = [_relabel(c, ids) for c in allowed_conflicts(p)]
+        assert allowed_conflicts(_relabel(p, ids)) == expected
+        assert count_allowed_conflicts(_relabel(p, ids)) == len(expected)
+        assert choose_pivot(_relabel(p, ids)).pivot == ids[choose_pivot(p).pivot]
+
+
+@st.composite
+def sparse_posets(draw):
+    # a random DAG on k events, closed transitively, on shuffled ids from 0..10**6
+    k = draw(st.integers(0, 4))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = frozenset(e for b, e in enumerate(pairs) if chosen >> b & 1)
+    ids = draw(st.sets(st.integers(0, 10**6), min_size=k, max_size=k))
+    ids = draw(st.permutations(sorted(ids)))
+    return _relabel(reflexive_transitive_closure(edges, range(k)), ids)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sparse_posets())
+def test_sparse_shuffled_ids_match_brute_force(p):
+    listed = allowed_conflicts(p)
+    assert set(listed) == brute_force_conflicts(p)
+    assert len(listed) == count_allowed_conflicts(p)
+    if p:
+        assert choose_pivot(p).pivot in minimal_elements(p)

@@ -1,5 +1,6 @@
 import pytest
 
+from eventstruct import es_enum, order_enum
 from eventstruct.es_enum import (
     CountRow,
     count_event_structures,
@@ -103,3 +104,35 @@ def test_progress_callback_sees_all_posets():
     seen = []
     count_event_structures(4, progress=lambda done, total: seen.append((done, total)))
     assert seen[-1] == (219, 219)
+
+
+def test_progress_total_costs_no_second_filter_pass(monkeypatch):
+    calls = 0
+    antisymmetric = order_enum._antisymmetric_rows
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return antisymmetric(rows)
+
+    monkeypatch.setattr(order_enum, "_antisymmetric_rows", counted)
+    seen = []
+    assert count_event_structures(5, progress=lambda *args: seen.append(args)) == 41099
+    assert calls == 6942  # one filter call per preorder over 5 events
+    assert seen[-1] == (4231, 4231)
+
+
+def test_no_pool_for_a_single_batch(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(es_enum.multiprocessing, "Pool", no_pool)
+    assert count_event_structures(4, workers=4) == 916
+
+
+def test_streamed_orders_count_without_a_total(monkeypatch):
+    # beyond the cache ceiling the posets are streamed, so progress has no total
+    monkeypatch.setattr(order_enum, "_CACHE_MAX_ORDER", 3)
+    seen = []
+    assert count_event_structures(4, workers=2, progress=lambda *args: seen.append(args)) == 916
+    assert seen == [(219, None)]
