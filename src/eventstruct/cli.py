@@ -11,11 +11,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import IO, Iterator
+from contextlib import nullcontext
+from typing import IO, Iterable, Iterator
 
 from . import conflicts, es_enum, oracle, order_enum
-from .relations import covering_relation, matrix_to_rel
+from .relations import EMPTY_REL, BoolMatrix, covering_relation, matrix_to_rel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--canonical",
         action="store_true",
-        help="sort records by (causality, conflict) before emitting",
+        help="emit records in (causality, conflict) order",
     )
     p_enum.add_argument("--out", default=None, help="output path (default: stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
@@ -154,95 +154,81 @@ def _cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True, order=True)
-class OutputRecord:
-    """One serialized structure.
+def _groups(kind: str, n: int, canonical: bool) -> Iterator[tuple[list, Iterable[list]]]:
+    """(causality, its conflicts) per relation, each relation a sorted pair list.
 
-    Pairs are sorted lexicographically by (first, second); a conflict
-    carries both orientations of every conflicting pair.  Record order
-    compares by (causality, conflict), which is what --canonical sorts by.
+    Preorders and posets carry one empty conflict each.  With canonical,
+    the relations are sorted, and so are the conflicts of each poset as it
+    comes up: (causality, conflict) order without holding the stream.
     """
-
-    causality: tuple[tuple[int, int], ...]
-    conflict: tuple[tuple[int, int], ...]
-    n: int
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "causality": [list(pair) for pair in self.causality],
-            "conflict": [list(pair) for pair in self.conflict],
-        }
-        return json.dumps(payload, separators=(",", ":"))
-
-
-def _records(kind: str, n: int) -> Iterator[OutputRecord]:
-    if kind == "preorders":
-        for a in order_enum.enumerate_preorders(n):
-            yield OutputRecord(tuple(sorted(matrix_to_rel(a))), (), n)
-    elif kind == "posets":
-        for p in order_enum.enumerate_posets(n):
-            yield OutputRecord(tuple(sorted(p)), (), n)
+    rows_stream = order_enum._rows_stream(n) if kind == "preorders" else order_enum._poset_rows(n)
+    if canonical:
+        rows_stream = sorted(
+            rows_stream, key=lambda rows: sorted(matrix_to_rel(BoolMatrix(n, rows)))
+        )
+    if kind == "es":
+        groups = es_enum._by_poset(n, rows_stream)
     else:
-        for es in es_enum.enumerate_event_structures(n):
-            yield OutputRecord(
-                tuple(sorted(es.causality)), tuple(sorted(es.conflict)), n
-            )
+        groups = ((matrix_to_rel(BoolMatrix(n, rows)), [EMPTY_REL]) for rows in rows_stream)
+    for causality, conflict_stream in groups:
+        conflict_lists = map(sorted, conflict_stream)
+        yield sorted(causality), sorted(conflict_lists) if canonical else conflict_lists
 
 
 def _braces(pairs) -> str:
     return "{" + ", ".join(f"({x},{y})" for x, y in pairs) + "}"
 
 
-def _dot_lines(kind: str, index: int, n: int, causality, conflict) -> list[str]:
-    lines = [f"digraph {kind}_{index} {{"]
-    lines.extend(f"  {v};" for v in range(n))
-    if kind == "preorders":
-        # A preorder may contain cycles, so no transitive reduction: draw
-        # every off-diagonal arc as-is.
-        arcs = [(x, y) for x, y in causality if x != y]
-    else:
-        arcs = sorted(covering_relation(frozenset(causality)))
-    lines.extend(f"  {x} -> {y};" for x, y in arcs)
-    lines.extend(
-        f"  {x} -> {y} [style=dashed, dir=none];" for x, y in conflict if x < y
-    )
-    lines.append("}")
-    return lines
+def _json(pairs) -> str:
+    return json.dumps(pairs, separators=(",", ":"))
 
 
 def _emit(args, out: IO[str]) -> None:
-    records = _records(args.kind, args.n)
-    if args.canonical:
-        records = sorted(records)
-    for index, record in enumerate(records):
-        if args.format == "pairs":
-            if args.kind == "es":
-                out.write(f"({_braces(record.causality)}, {_braces(record.conflict)})\n")
-            else:
-                out.write(_braces(record.causality) + "\n")
+    """Write one record per (causality, conflict), formatting each causality once."""
+    kind, n = args.kind, args.n
+    index = 0
+    for causality, conflict_lists in _groups(kind, n, args.canonical):
+        if args.format == "pairs" and kind != "es":
+            out.write(_braces(causality) + "\n")
+        elif args.format == "pairs":
+            head = f"({_braces(causality)}, "
+            for conflict in conflict_lists:
+                out.write(f"{head}{_braces(conflict)})\n")
         elif args.format == "jsonl":
-            out.write(record.to_json() + "\n")
+            head = f'{{"n":{n},"causality":{_json(causality)},"conflict":'
+            for conflict in conflict_lists:
+                out.write(f"{head}{_json(conflict)}}}\n")
         else:
-            out.write(
-                "\n".join(
-                    _dot_lines(args.kind, index, args.n, record.causality, record.conflict)
+            if kind == "preorders":
+                # A preorder may contain cycles, so no transitive reduction:
+                # draw every off-diagonal arc as-is.
+                arcs = [(x, y) for x, y in causality if x != y]
+            else:
+                arcs = sorted(covering_relation(frozenset(causality)))
+            body = "".join(f"  {v};\n" for v in range(n))
+            body += "".join(f"  {x} -> {y};\n" for x, y in arcs)
+            for conflict in conflict_lists:
+                dashed = "".join(
+                    f"  {x} -> {y} [style=dashed, dir=none];\n" for x, y in conflict if x < y
                 )
-            )
-            out.write("\n")
+                out.write(f"digraph {kind}_{index} {{\n{body}{dashed}}}\n")
+                index += 1
+
+
+def _open_for_write(path: str) -> IO[str] | None:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"eventstruct: cannot write {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_enumerate(args, parser) -> int:
     _check_n(parser, args.n)
-    if args.out is None:
-        _emit(args, sys.stdout)
-        return EXIT_OK
-    try:
-        handle = open(args.out, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"eventstruct: cannot write {args.out}: {exc}", file=sys.stderr)
+    out = nullcontext(sys.stdout) if args.out is None else _open_for_write(args.out)
+    if out is None:
         return EXIT_USAGE
-    with handle:
+    with out as handle:
         _emit(args, handle)
     return EXIT_OK
 
@@ -315,6 +301,15 @@ def _cmd_bench(args, parser) -> int:
     if args.n > BENCH_MAX_N:
         print(f"bench: refusing n={args.n} (ceiling {BENCH_MAX_N})", file=sys.stderr)
         return EXIT_GUARD
+    # Opened before the variants run, so an unwritable path costs no run.
+    report = nullcontext() if args.json_path is None else _open_for_write(args.json_path)
+    if report is None:
+        return EXIT_USAGE
+    with report as handle:
+        return _bench(args, handle)
+
+
+def _bench(args, report: IO[str] | None) -> int:
     # Warm the shared poset cache so the first variant is not charged for it.
     order_enum.count_posets(args.n)
     results = []
@@ -344,10 +339,9 @@ def _cmd_bench(args, parser) -> int:
         name = f"{r['dedupe']} {r['pivot']}"
         print(f"{name.ljust(width)}  {r['seconds']:7.3f}  {r['count']}")
 
-    if args.json_path is not None:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump({"n": args.n, "results": results}, handle, indent=2)
-            handle.write("\n")
+    if report is not None:
+        json.dump({"n": args.n, "results": results}, report, indent=2)
+        report.write("\n")
 
     counts = {r["count"] for r in results}
     if len(counts) > 1:

@@ -1,8 +1,12 @@
+import argparse
+import hashlib
 import json
 import subprocess
 import sys
 
-from eventstruct import es_enum
+import pytest
+
+from eventstruct import cli, conflicts, es_enum
 
 BASE = [sys.executable, "-m", "eventstruct"]
 
@@ -105,6 +109,89 @@ def test_enumerate_to_file(tmp_path):
     assert bad.returncode == 1
 
 
+# sha256 of `enumerate KIND --n N --format FORMAT [--canonical]`, recorded
+# before enumerate streamed one poset at a time; the bytes must not change.
+PINNED_OUTPUT = {
+    ("preorders", 3, "pairs", False): "06ad91936f92dab727065d19bf2a1741bc580baaf5f58144693172ab41192728",
+    ("preorders", 3, "pairs", True): "593d7a5299f965a216cab831c2b355e55b24829d31eea0181c7ae2da6f1be51b",
+    ("preorders", 3, "jsonl", False): "3de10aec0b16b14e1fafb49b33b613c382822153096f8ff326afa232b908b64c",
+    ("preorders", 3, "jsonl", True): "3ec84f1a232375ceafb244a5fc739535bbd8b92994451e4a579bd02ffdd2257b",
+    ("preorders", 3, "dot", False): "4223222a01c991a8f02eb14c3026e3ab5b7d2d2372e3ea558cb1856821cda464",
+    ("preorders", 3, "dot", True): "33504a63b9862f7444e12ad20c4841b4dc59f0e0fc82559963cbe07d5b06779d",
+    ("posets", 3, "pairs", False): "d2306e48e8f411948f3145e5a33cabaea6d10a0fde1dcf00165f54c2bf54fcc5",
+    ("posets", 3, "pairs", True): "5ea2cfa34bb2c799a7c98f3c7211dc183031a97dda7b18f57be57cef1ff9a177",
+    ("posets", 3, "jsonl", False): "cfb27aa5aa1fe942e671850cf6870575258dffadeb1f85f1f123ec568fbf8966",
+    ("posets", 3, "jsonl", True): "7479a02653af0330a600234c2f6c3c06f0ff8206db2ab8927a504e51bd732e84",
+    ("posets", 3, "dot", False): "6175efa2cb5b461de6aa7623634f5e7afafbdc855f0521d3f34380dcf812c97a",
+    ("posets", 3, "dot", True): "a3d5348519f77562122b30dfd4d6bf9368c1ad4e1bac242bf3ce1f7c70208d51",
+    ("es", 3, "pairs", False): "27ab4c9c6af9f0b07fa7396f2fae5beebe9598c4cb343b69438733d14312be99",
+    ("es", 3, "pairs", True): "49c3d01093ac4205ee4bbb49042a5485043f53bfb100c25f9b3b9b0d67a02fe0",
+    ("es", 3, "jsonl", False): "2274877a3681357ae664c635e5eeef543675965967a5eabe1e8128bdaaee38f8",
+    ("es", 3, "jsonl", True): "9dee33a0e6732dd2706574288b8a07f8d0f77bc360e3a1e06966a891e2c0abc3",
+    ("es", 3, "dot", False): "8a0def547edeeca827228559b92c03f0650e3245f5ce1289b787b199c7a34647",
+    ("es", 3, "dot", True): "1f49ddef754a2a6a240ad16e42f8f79065ce56175adbc67db5d53d0ee01a5f91",
+    ("es", 4, "pairs", False): "1a95645d8273736ee2071412c287c28a4b0b054b635c85f2278384f2724cfff1",
+    ("es", 4, "pairs", True): "bfdee7cd999b40c5ba208ab0331e667331a75e05207b5e8810fd49436750b3af",
+    ("es", 4, "jsonl", False): "10309085ce3e202f9d0e17c63659e14beec7217c90c7e229de2a15939293d6ee",
+    ("es", 4, "jsonl", True): "e656c353448a8b0309482efa42193f10f5104634a36b9bb3d2a37dc7c4d2aa78",
+    ("es", 4, "dot", False): "0bb205bb8c143424c4292f074dda0d3f314742a6fa2303f8b0757502a2be053c",
+    ("es", 4, "dot", True): "1251996e606b203238f66d378ea5b8c99ecd59597035e5c588b4b724a661ae06",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_OUTPUT))
+def test_enumerate_output_bytes_are_pinned(setting, tmp_path):
+    kind, n, fmt, canonical = setting
+    path = tmp_path / "out"
+    argv = ["enumerate", kind, "--n", str(n), "--format", fmt, "--out", str(path)]
+    assert cli.main(argv + ["--canonical"] * canonical) == cli.EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUT[setting]
+
+
+class _Writes:
+    """An output stream that only runs a callback on each write."""
+
+    def __init__(self, on_write):
+        self.write = on_write
+
+
+def _enumerate_args(fmt: str, canonical: bool) -> argparse.Namespace:
+    return argparse.Namespace(kind="es", n=4, format=fmt, canonical=canonical)
+
+
+def test_dot_reduces_each_poset_once(monkeypatch):
+    calls = []
+    reduce = cli.covering_relation
+
+    def counted(p):
+        calls.append(p)
+        return reduce(p)
+
+    monkeypatch.setattr(cli, "covering_relation", counted)
+    cli._emit(_enumerate_args("dot", False), _Writes(len))
+    assert len(calls) == 219  # the posets at n = 4, not the 916 structures
+
+
+def test_canonical_streams_from_the_first_poset(monkeypatch):
+    calls = []
+    listed = conflicts._conflicts_packed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return listed(*args, **kwargs)
+
+    seen_at_first_write = []
+
+    def write(text):
+        if not seen_at_first_write:
+            seen_at_first_write.append(len(calls))
+
+    monkeypatch.setattr(conflicts, "_conflicts_packed", counted)
+    cli._emit(_enumerate_args("jsonl", True), _Writes(write))
+    assert seen_at_first_write == [1]
+    assert len(calls) == 219
+
+
 def test_verify():
     result = run_cli("verify", "--n", "2")
     assert result.returncode == 0
@@ -157,3 +244,12 @@ def test_bench_json_report(tmp_path):
     assert report["n"] == 2
     assert report["results"][0]["count"] == 4
     assert report["results"][0]["dedupe"] == "dedupe-final"
+
+
+def test_bench_json_unwritable_path(tmp_path):
+    path = tmp_path / "no" / "dir" / "r.json"
+    result = run_cli("bench", "--n", "2", "--json", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert f"eventstruct: cannot write {path}:" in result.stderr
+    assert "Traceback" not in result.stderr
