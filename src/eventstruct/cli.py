@@ -1,7 +1,7 @@
 """Command line front end: count, enumerate, verify, OEIS b-files, benchmarks.
 
 Exit codes: 0 success, 1 usage error, 2 guard refusal, 3 verification or
-consistency failure.
+consistency failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 VERIFY_MAX_N = 3  # bound by the event-structure brute-force guard
 OEIS_DEFAULT_MAX_N = 6
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "worker processes for es counting (default: available cores); "
-            "for n <= 6, capped at the number of 1,024-poset batches"
+            "capped at the number of cores, and for n <= 6 at the number "
+            "of 1,024-poset batches"
         ),
     )
     p_count.set_defaults(func=_cmd_count)
@@ -163,8 +165,13 @@ def _groups(kind: str, n: int, canonical: bool) -> Iterator[tuple[list, Iterable
     """
     rows_stream = order_enum._rows_stream(n) if kind == "preorders" else order_enum._poset_rows(n)
     if canonical:
+        # One int i*n + j per pair, rows then bits ascending: the order of
+        # the sorted pair lists, at a fraction of their memory.
         rows_stream = sorted(
-            rows_stream, key=lambda rows: sorted(matrix_to_rel(BoolMatrix(n, rows)))
+            rows_stream,
+            key=lambda rows: tuple(
+                i * n + j for i, row in enumerate(rows) for j in range(n) if row >> j & 1
+            ),
         )
     if kind == "es":
         groups = es_enum._by_poset(n, rows_stream)
@@ -360,6 +367,9 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except BrokenPipeError:
         return EXIT_OK
+    except KeyboardInterrupt:
+        print("eventstruct: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -138,6 +138,11 @@ def _heuristic(pivot: str) -> bool:
 # the compact indices 0..k-1 of its sorted ids: bit j of rows[i] is set iff
 # (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
 # bitmask rows over the same indices.
+#
+# _chain fixes the pivot steps, and _grow is the one level loop over them:
+# _conflicts_packed lists, and _count_packed counts the last level without
+# building it.  The bench's dedupe variants (_count_variant) reuse _grow
+# with the repeated Ys kept, outside the production path.
 # ---------------------------------------------------------------------------
 
 
@@ -188,51 +193,39 @@ def _pivot_packed(rows, cols, s: int, heuristic: bool):
     return best
 
 
-def _conflicts_packed(
-    rows,
-    *,
-    heuristic: bool = True,
-    immediate_only: bool = True,
-    dedupe: str = "final",
-    count_only: bool = False,
-):
-    """Run the pivot recursion on packed rows.
+def _chain(rows, heuristic: bool, immediate_only: bool) -> list[tuple]:
+    """Pivot steps (m, base_succ, s1, imgs), last pivot first.
 
-    dedupe picks where duplicates are removed: "final" inside each
-    extension group (production), "late" once per recursion level after
-    concatenation, "naive" never (the result is then only counted as a
-    set).  All three agree as sets; they exist for benchmark comparison.
+    Step m joins the sub-poset s1, and imgs[x] is row x within s1.  The
+    base meets the conflict rows of base_succ, which is 0 exactly when m
+    has no strict successor (those always include an immediate one).
     """
-    if dedupe not in ("final", "late", "naive"):
-        raise ValueError(f"unknown dedupe mode {dedupe!r}")
     n = len(rows)
     cols = columns(rows)
-
-    # Pivot chain is independent of the conflicts, so fix it up front:
-    # chain[k] describes the step removing pivot m_k from sub-poset s_k.
     chain = []
     s = (1 << n) - 1
     while s:
         m, succ, imm = _pivot_packed(rows, cols, s, heuristic)
         s1 = s & ~(1 << m)
-        base_succ = (imm if immediate_only else succ) if succ else 0
+        base_succ = imm if immediate_only else succ
         imgs = [rows[x] & s1 for x in range(n)]
-        chain.append((m, succ != 0, base_succ, s1, imgs))
+        chain.append((m, base_succ, s1, imgs))
         s = s1
+    chain.reverse()
+    return chain
 
-    confs: list[tuple[int, ...]] = [(0,) * n]
-    if not chain:
-        return 1 if count_only else confs
 
-    final = dedupe == "final"
-    total = 0
-    for k in range(len(chain) - 1, -1, -1):
-        m, has_succ, base_succ, s1, imgs = chain[k]
+def _grow(confs: list[tuple[int, ...]], steps, unique=dict.fromkeys) -> list:
+    """Extend every conflict through the steps, level by level.
+
+    unique removes the repeated Ys of one conflict; distinct Ys give
+    distinct extensions, so with the default no level has duplicates.
+    """
+    for m, base_succ, s1, imgs in steps:
         mbit = 1 << m
-        count_top = count_only and final and k == 0
         out = []
         for c in confs:
-            if has_succ:
+            if base_succ:
                 base = -1
                 u = base_succ
                 while u:
@@ -248,10 +241,7 @@ def _conflicts_packed(
                 im = imgs[l2.bit_length() - 1]
                 ys += [y | im for y in ys]
                 u ^= l2
-            if count_top:
-                total += len(set(ys))
-                continue
-            for y in dict.fromkeys(ys) if final else ys:
+            for y in unique(ys):
                 ext = list(c)
                 ext[m] = y
                 v = y
@@ -260,18 +250,45 @@ def _conflicts_packed(
                     ext[l3.bit_length() - 1] |= mbit
                     v ^= l3
                 out.append(tuple(ext))
-        if dedupe == "late":
-            out = list(dict.fromkeys(out))
         confs = out
+    return confs
 
-    if not count_only:
-        return confs
-    if final:
-        return total
-    if dedupe == "late":
-        return len(confs)
+
+def _conflicts_packed(rows, *, heuristic: bool = True, immediate_only: bool = True):
+    """Duplicate-free list of the packed allowed conflicts of rows."""
+    return _grow([(0,) * len(rows)], _chain(rows, heuristic, immediate_only))
+
+
+def _count_packed(rows, *, heuristic: bool = True) -> int:
+    """len(_conflicts_packed(rows)), without building the last level.
+
+    The last step's unique hook only tallies the distinct Ys of each
+    conflict and yields none of them, so no extension is built.
+    """
+    steps = _chain(rows, heuristic, True)
+    if not steps:
+        return 1
+    counts = []
+
+    def tally(ys):
+        counts.append(len(set(ys)))
+        return ()
+
+    _grow(_grow([(0,) * len(rows)], steps[:-1]), steps[-1:], unique=tally)
+    return sum(counts)
+
+
+def _count_variant(rows, *, heuristic: bool, dedupe: str) -> int:
+    """Bench-only count with the repeated Ys kept in each level.
+
+    "late" removes the duplicate conflicts after each level, "naive"
+    only once, at the end; both agree with _count_packed.
+    """
+    if dedupe not in ("late", "naive"):
+        raise ValueError(f"unknown dedupe mode {dedupe!r}")
+    confs = [(0,) * len(rows)]
+    for step in _chain(rows, heuristic, True):
+        confs = _grow(confs, [step], unique=iter)
+        if dedupe == "late":
+            confs = list(dict.fromkeys(confs))
     return len(set(confs))
-
-
-def _count_packed(rows, *, heuristic=True, dedupe="final") -> int:
-    return _conflicts_packed(rows, heuristic=heuristic, dedupe=dedupe, count_only=True)

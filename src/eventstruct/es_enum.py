@@ -10,6 +10,8 @@ across worker processes; enumeration stays sequential and deterministic
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -61,8 +63,10 @@ def count_event_structures(
     """Number of event structures over {0..n-1}.
 
     workers > 1 partitions the poset list across processes; the sum is
-    exact and independent of scheduling.  For n <= 6 no more workers
-    start than there are batches of 1,024 posets (one up to n = 4).
+    exact and independent of scheduling.  No more workers start than
+    os.cpu_count(), and for n <= 6 no more than there are batches of
+    1,024 posets (one up to n = 4).  Workers ignore SIGINT, so Ctrl-C
+    reaches only the calling process.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -110,13 +114,16 @@ def _count(
     """
     batches: Iterable[list] = _batched(order_enum._poset_rows(n))
     total = None
+    workers = min(workers, os.cpu_count() or 1)
     if n <= order_enum._CACHE_MAX_ORDER:
         batches = list(batches)
         total = sum(map(len, batches))
         workers = min(workers, len(batches))
     count_batch = partial(_count_batch, heuristic=heuristic, dedupe=dedupe)
     structures = posets = 0
-    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+    with (
+        multiprocessing.Pool(workers, _ignore_sigint) if workers > 1 else nullcontext()
+    ) as pool:
         mapper = map if pool is None else pool.imap_unordered
         for subtotal, size in mapper(count_batch, batches):
             structures += subtotal
@@ -126,8 +133,16 @@ def _count(
     return structures, posets
 
 
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _count_batch(batch: list, *, heuristic: bool, dedupe: str) -> tuple[int, int]:
-    count = partial(conflicts._count_packed, heuristic=heuristic, dedupe=dedupe)
+    # "final" is the production count; _count_variant rejects unknown modes
+    if dedupe == "final":
+        count = partial(conflicts._count_packed, heuristic=heuristic)
+    else:
+        count = partial(conflicts._count_variant, heuristic=heuristic, dedupe=dedupe)
     return sum(map(count, batch)), len(batch)
 
 

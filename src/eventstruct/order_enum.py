@@ -15,6 +15,7 @@ order 6 are cached so repeated count/enumerate calls share work.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -26,7 +27,11 @@ RowTuple = tuple[int, ...]
 # ~9.5M matrices; materializing them costs GBs of RAM).
 _CACHE_MAX_ORDER = 6
 
+# Preorder levels by order, bounded by _CACHE_MAX_ORDER: through order 6
+# they hold 216,859 row tuples, about 21 MB (tracemalloc, CPython 3.11).
+# Built under the lock, so threads never append a level twice.
 _levels: list[list[RowTuple]] = [[()]]
+_levels_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -90,11 +95,11 @@ def _extend_rows(rows: RowTuple, k: int) -> list[RowTuple]:
 
 def _level(n: int) -> list[RowTuple]:
     """Materialized (and cached) list of all order-n preorder row tuples."""
-    while len(_levels) <= n:
-        k = len(_levels) - 1
-        base = _levels[k]
-        _levels.append([ext for rows in base for ext in _extend_rows(rows, k)])
-    return _levels[n]
+    with _levels_lock:
+        while len(_levels) <= n:
+            k = len(_levels) - 1
+            _levels.append([ext for rows in _levels[k] for ext in _extend_rows(rows, k)])
+        return _levels[n]
 
 
 def _rows_stream(n: int) -> Iterator[RowTuple]:

@@ -192,6 +192,21 @@ def test_canonical_streams_from_the_first_poset(monkeypatch):
     assert len(calls) == 219
 
 
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(es_enum, "count_event_structures", interrupted)
+    try:
+        code = cli.main(["count", "es", "--n", "3"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    captured = capsys.readouterr()
+    assert code == 130
+    assert captured.out == ""
+    assert captured.err == "eventstruct: interrupted\n"
+
+
 def test_verify():
     result = run_cli("verify", "--n", "2")
     assert result.returncode == 0

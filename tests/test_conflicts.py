@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventstruct import conflicts, order_enum
 from eventstruct.conflicts import (
     PivotResult,
     allowed_conflicts,
@@ -136,6 +137,29 @@ def test_count_matches_list_length():
         for p in enumerate_posets(n):
             assert count_allowed_conflicts(p) == len(allowed_conflicts(p))
             assert count_allowed_conflicts(p, pivot="first") == len(allowed_conflicts(p))
+
+
+def test_packed_count_matches_list_length_at_five():
+    for rows in order_enum._poset_rows(5):
+        for heuristic in (True, False):
+            listed = conflicts._conflicts_packed(rows, heuristic=heuristic)
+            assert conflicts._count_packed(rows, heuristic=heuristic) == len(listed)
+
+
+def test_bench_variants_match_the_count_per_poset():
+    for n in range(5):
+        for rows in order_enum._poset_rows(n):
+            for heuristic in (True, False):
+                expected = conflicts._count_packed(rows, heuristic=heuristic)
+                for dedupe in ("late", "naive"):
+                    got = conflicts._count_variant(rows, heuristic=heuristic, dedupe=dedupe)
+                    assert got == expected
+
+
+def test_count_variant_rejects_unknown_mode():
+    for dedupe in ("final", "bogus"):
+        with pytest.raises(ValueError):
+            conflicts._count_variant([], heuristic=True, dedupe=dedupe)
 
 
 def test_pivot_never_conflicts_with_itself():

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import pytest
 
 from eventstruct import es_enum, order_enum
@@ -136,3 +139,38 @@ def test_streamed_orders_count_without_a_total(monkeypatch):
     seen = []
     assert count_event_structures(4, workers=2, progress=lambda *args: seen.append(args)) == 916
     assert seen == [(219, None)]
+
+
+def test_workers_are_capped_at_the_cores(monkeypatch):
+    # streamed orders (past the lowered cache ceiling) skip the batch cap,
+    # so only the core cap keeps a huge request from starting that many
+    sizes = []
+    initializers = []
+
+    class FakePool:
+        def __init__(self, processes, initializer=None):
+            sizes.append(processes)
+            initializers.append(initializer)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(order_enum, "_CACHE_MAX_ORDER", 3)
+    monkeypatch.setattr(es_enum.multiprocessing, "Pool", FakePool)
+    assert count_event_structures(4, workers=10**6) == 916
+    cores = os.cpu_count() or 1
+    assert sizes == ([cores] if cores > 1 else [])
+    # workers ignore Ctrl-C; only the parent reports it
+    assert all(init is es_enum._ignore_sigint for init in initializers)
+    handler = signal.getsignal(signal.SIGINT)
+    try:
+        es_enum._ignore_sigint()
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, handler)

@@ -1,5 +1,9 @@
+import threading
+import time
+
 import pytest
 
+from eventstruct import order_enum
 from eventstruct.oracle import brute_force_posets, brute_force_preorders
 from eventstruct.order_enum import (
     ExtensionPair,
@@ -144,6 +148,35 @@ def test_enumeration_order_is_deterministic():
     first = [a.rows for a in enumerate_preorders(4)]
     second = [a.rows for a in enumerate_preorders(4)]
     assert first == second
+
+
+def test_level_cache_is_built_once_under_threads(monkeypatch):
+    # two threads fill a cold cache at once; a 1 ms pause per extension
+    # makes them overlap in every level build
+    extend = order_enum._extend_rows
+
+    def slow_extend(rows, k):
+        time.sleep(0.001)
+        return extend(rows, k)
+
+    monkeypatch.setattr(order_enum, "_levels", [[()]])
+    monkeypatch.setattr(order_enum, "_extend_rows", slow_extend)
+    results = []
+
+    def count():
+        try:
+            results.append(count_posets(4))
+        except Exception as exc:  # the race shows as an IndexError
+            results.append(exc)
+
+    threads = [threading.Thread(target=count) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results == [219, 219]
+    assert [len(level) for level in order_enum._levels] == [1, 1, 4, 29, 355]
 
 
 @pytest.mark.slow
