@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.add_argument(
         "--allow-long",
         action="store_true",
-        help=f"allow --max-n {OEIS_LONG_MAX_N} (hours of compute)",
+        help=f"allow --max-n {OEIS_LONG_MAX_N} (minutes of compute)",
     )
     p_oeis.set_defaults(func=_cmd_oeis)
 
@@ -138,6 +138,11 @@ def _progress(n: int, label: str = "posets"):
     return report
 
 
+def _default_workers() -> int:
+    """Worker processes when none are asked for: one per core."""
+    return os.cpu_count() or 1
+
+
 def _cmd_count(args, parser) -> int:
     _check_n(parser, args.n)
     if args.kind == "preorders":
@@ -145,7 +150,7 @@ def _cmd_count(args, parser) -> int:
     elif args.kind == "posets":
         print(order_enum.count_posets(args.n))
     else:
-        workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+        workers = args.workers if args.workers is not None else _default_workers()
         if workers < 1:
             parser.error("--workers must be >= 1")
         print(
@@ -295,7 +300,9 @@ def _cmd_oeis(args, parser) -> int:
     count_fns = {
         "A000798": order_enum.count_preorders,
         "A001035": order_enum.count_posets,
-        "A284276": lambda k: es_enum.count_event_structures(k, progress=_progress(k)),
+        "A284276": lambda k: es_enum.count_event_structures(
+            k, workers=_default_workers(), progress=_progress(k)
+        ),
     }
     fn = count_fns[args.sequence]
     for k in range(args.max_n + 1):

@@ -13,13 +13,23 @@ else.  Distinct Y values give distinct extensions, so deduplicating the
 Y list keeps the output duplicate-free without a quadratic sweep over
 the concatenated result.
 
-The recursion runs on packed int-bitmask rows; the public functions
-accept and return plain pair sets.
+Counting takes a second, independent route.  Call a pair {a, b} of
+events disjoint when they have no common upper bound, and order the
+disjoint pairs by {a, b} <= {c, e} when c is above a and e above b (or
+the other way round).  A conflict relation is allowed exactly when it
+is a set of disjoint pairs closed upwards in that order: this is the
+inherited-conflict axiom of Nielsen, Plotkin and Winskel ("Petri nets,
+event structures and domains", TCS 1981).  So the count is the number
+of up-sets of the disjoint-pair poset, which needs no conflict built.
+
+Both routes run on packed int-bitmask rows; the public functions accept
+and return plain pair sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .relations import (
     Rel,
@@ -52,9 +62,10 @@ def choose_pivot(p: Rel) -> PivotResult:
     """Minimal element with the most immediate successors, smallest id on ties.
 
     This is the default pivot of allowed_conflicts.  It does not make the
-    recursion faster: counting every structure at n = 6 took 8.78 s with
-    it against 8.21 s with choose_pivot_first (one run each, CPython 3.11
-    on a 2-core host).  p must be a partial order.
+    recursion faster: counting every structure at n = 6 through the
+    recursion (the bench command's variants) took 8.78 s with it against
+    8.21 s with choose_pivot_first (one run each, CPython 3.11 on a
+    2-core host).  p must be a partial order.
     """
     return _choose(p, heuristic=True)
 
@@ -120,11 +131,22 @@ def allowed_conflicts(
 
 
 def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
-    """len(allowed_conflicts(p)) without materializing the top-level list."""
+    """len(allowed_conflicts(p)), counted as the up-sets of its disjoint pairs.
+
+    No conflict is built, so the count does not depend on pivot, which
+    is only checked.  The cost is one step per disjoint pair, each over
+    the distinct sets of pairs forced in by the steps before it: for a
+    50-event antichain (2**1225 conflicts) or chain it is a few
+    milliseconds, where listing could never finish.  The number of those
+    sets can still grow exponentially: for k disjoint two-event chains
+    the time grows about 3.5-fold with each chain (0.9 s at k = 12 and
+    12 s at k = 14, CPython 3.11 on a 2-core host).
+    """
     p = frozenset(p)
     _require_poset(p)
+    _heuristic(pivot)
     rows, _ = _pack_poset(p)
-    return _count_packed(rows, heuristic=_heuristic(pivot))
+    return _count_packed(rows)
 
 
 def _heuristic(pivot: str) -> bool:
@@ -140,9 +162,11 @@ def _heuristic(pivot: str) -> bool:
 # bitmask rows over the same indices.
 #
 # _chain fixes the pivot steps, and _grow is the one level loop over them:
-# _conflicts_packed lists, and _count_packed counts the last level without
-# building it.  The bench's dedupe variants (_count_variant) reuse _grow
-# with the repeated Ys kept, outside the production path.
+# _conflicts_packed lists the conflicts.  _count_packed counts them as
+# up-sets of the disjoint-pair poset and shares no code with the
+# recursion, so each checks the other.  _count_pivot (the recursion,
+# counting its last level without building it) and _count_variant (the
+# bench's dedupe variants, repeated Ys kept) are the bench's counts.
 # ---------------------------------------------------------------------------
 
 
@@ -259,8 +283,53 @@ def _conflicts_packed(rows, *, heuristic: bool = True, immediate_only: bool = Tr
     return _grow([(0,) * len(rows)], _chain(rows, heuristic, immediate_only))
 
 
-def _count_packed(rows, *, heuristic: bool = True) -> int:
-    """len(_conflicts_packed(rows)), without building the last level.
+@lru_cache(maxsize=32)
+def _spread_masks(n: int) -> tuple[int, int]:
+    """(k, m) such that row * k & m moves bit c of an n-bit row to bit c*(n+1)."""
+    return sum(1 << c * n for c in range(n)), sum(1 << c * (n + 1) for c in range(n))
+
+
+def _count_packed(rows) -> int:
+    """Number of allowed conflicts of rows: the up-sets of its disjoint pairs.
+
+    Pair (a, b) is bit a*(n+1) + b of a mask.  The pairs above a
+    disjoint {a, b} are the (c, e) with c in rows[a] and e in rows[b]
+    (all disjoint), one product of a spread row and a row each way.  The
+    pairs are taken minimal first, in an order of the events extending
+    the poset (a row strictly contains the rows above it, so it is
+    larger).  Per pair, the count of partial up-sets is kept for each
+    set of later pairs already forced in: the pair is in if forced,
+    else it is out, or in with the pairs above it forced.  The loop is
+    flat, so no recursion depth grows with the number of pairs.
+    """
+    n = len(rows)
+    stride = n + 1
+    k, m = _spread_masks(n)
+    spread = [row * k & m for row in rows]
+    counts = {0: 1}  # forced pairs -> number of up-sets so far
+    order = sorted(range(n), key=rows.__getitem__, reverse=True)
+    for j, b in enumerate(order):
+        rb, sb = rows[b], spread[b]
+        for a in order[:j]:
+            ra = rows[a]
+            if ra & rb:
+                continue  # a common upper bound: never in conflict
+            pair = 1 << a * stride + b | 1 << b * stride + a
+            above = (spread[a] * rb | sb * ra) ^ pair
+            nxt: dict[int, int] = {}
+            for forced, ways in counts.items():
+                if forced & pair:
+                    forced ^= pair
+                else:
+                    with_pair = forced | above
+                    nxt[with_pair] = nxt.get(with_pair, 0) + ways
+                nxt[forced] = nxt.get(forced, 0) + ways
+            counts = nxt
+    return sum(counts.values())
+
+
+def _count_pivot(rows, *, heuristic: bool) -> int:
+    """len(_conflicts_packed(rows)) by the recursion, without building the last level.
 
     The last step's unique hook only tallies the distinct Ys of each
     conflict and yields none of them, so no extension is built.
@@ -282,7 +351,7 @@ def _count_variant(rows, *, heuristic: bool, dedupe: str) -> int:
     """Bench-only count with the repeated Ys kept in each level.
 
     "late" removes the duplicate conflicts after each level, "naive"
-    only once, at the end; both agree with _count_packed.
+    only once, at the end; both agree with _count_pivot.
     """
     if dedupe not in ("late", "naive"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")

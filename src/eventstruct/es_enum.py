@@ -15,12 +15,13 @@ import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import conflicts, order_enum
 from .relations import BoolMatrix, EventStructure, Rel, matrix_to_rel
 
 ProgressFn = Callable[[int, "int | None"], None]
+CountFn = Callable[[Sequence[int]], int]  # conflicts of one poset's rows
 
 _BATCH_SIZE = 1024
 
@@ -80,14 +81,18 @@ def count_event_structures_variant(
     pivot: str = "heuristic",
     progress: ProgressFn | None = None,
 ) -> int:
-    """Sequential count under a chosen dedupe placement and pivot strategy.
+    """Sequential count by the paper's recursion, under a dedupe placement and pivot.
 
-    All variants return the same number; they differ only in how much
-    duplicate work the recursion performs, which is what the bench
-    command measures.
+    All variants return the same number as count_event_structures; they
+    differ only in how much duplicate work the recursion performs, which
+    is what the bench command measures.
     """
     heuristic = conflicts._heuristic(pivot)
-    return _count(n, heuristic=heuristic, dedupe=dedupe, progress=progress)[0]
+    if dedupe == "final":
+        count = partial(conflicts._count_pivot, heuristic=heuristic)
+    else:  # _count_variant rejects unknown modes
+        count = partial(conflicts._count_variant, heuristic=heuristic, dedupe=dedupe)
+    return _count(n, count=count, progress=progress)[0]
 
 
 def counts_up_to(max_n: int) -> CountTable:
@@ -103,14 +108,15 @@ def _count(
     n: int,
     *,
     workers: int = 1,
-    heuristic: bool = True,
-    dedupe: str = "final",
+    count: CountFn | None = None,
     progress: ProgressFn | None = None,
 ) -> tuple[int, int]:
     """(event structures, posets) over {0..n-1}, counted batch by batch.
 
-    Cached orders are listed up front, which gives progress its total
-    without a second pass; longer streams report a total of None.
+    count gives the conflicts of one poset's rows; None is the production
+    conflicts._count_packed.  Cached orders are listed up front, which
+    gives progress its total without a second pass; longer streams report
+    a total of None.
     """
     batches: Iterable[list] = _batched(order_enum._poset_rows(n))
     total = None
@@ -119,7 +125,7 @@ def _count(
         batches = list(batches)
         total = sum(map(len, batches))
         workers = min(workers, len(batches))
-    count_batch = partial(_count_batch, heuristic=heuristic, dedupe=dedupe)
+    count_batch = partial(_count_batch, count=count)
     structures = posets = 0
     with (
         multiprocessing.Pool(workers, _ignore_sigint) if workers > 1 else nullcontext()
@@ -137,12 +143,11 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _count_batch(batch: list, *, heuristic: bool, dedupe: str) -> tuple[int, int]:
-    # "final" is the production count; _count_variant rejects unknown modes
-    if dedupe == "final":
-        count = partial(conflicts._count_packed, heuristic=heuristic)
-    else:
-        count = partial(conflicts._count_variant, heuristic=heuristic, dedupe=dedupe)
+def _count_batch(batch: list, *, count: CountFn | None) -> tuple[int, int]:
+    # Looked up per batch, in the process that counts it, so the module
+    # attribute is the one that runs (the benchmark's traced run wraps it).
+    if count is None:
+        count = conflicts._count_packed
     return sum(map(count, batch)), len(batch)
 
 

@@ -230,6 +230,22 @@ def test_oeis():
     ]
 
 
+def test_oeis_counts_on_the_default_workers(monkeypatch, capsys):
+    # the same default as count es: one worker per core
+    calls = []
+    count = es_enum.count_event_structures
+
+    def recorded(n, **kwargs):
+        calls.append(kwargs["workers"])
+        return count(n, **kwargs)
+
+    monkeypatch.setattr(es_enum, "count_event_structures", recorded)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli.main(["oeis", "A284276", "--max-n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 1", "1 1", "2 4"]
+    assert calls == [3, 3, 3]
+
+
 def test_oeis_offset_and_guard():
     shifted = run_cli("oeis", "A000798", "--max-n", "1", "--offset", "1")
     assert shifted.stdout.splitlines() == ["1 1", "2 1"]

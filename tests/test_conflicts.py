@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,8 @@ def test_count_allowed_conflicts():
     assert count_allowed_conflicts(CHAIN2) == 1
     assert count_allowed_conflicts(ANTICHAIN3) == 8
     assert sum(count_allowed_conflicts(p) for p in enumerate_posets(3)) == 41
+    with pytest.raises(ValueError):
+        count_allowed_conflicts(CHAIN2, pivot="bogus")
 
 
 def test_soundness_and_no_duplicates():
@@ -140,17 +144,29 @@ def test_count_matches_list_length():
 
 
 def test_packed_count_matches_list_length_at_five():
+    # the up-set count against the recursion's list, where brute force cannot reach
     for rows in order_enum._poset_rows(5):
+        count = conflicts._count_packed(rows)
         for heuristic in (True, False):
-            listed = conflicts._conflicts_packed(rows, heuristic=heuristic)
-            assert conflicts._count_packed(rows, heuristic=heuristic) == len(listed)
+            assert count == len(conflicts._conflicts_packed(rows, heuristic=heuristic))
+
+
+@pytest.mark.slow
+def test_upset_count_matches_the_recursion_at_six():
+    upsets = pivot = 0
+    for rows in order_enum._poset_rows(6):
+        count = conflicts._count_packed(rows)
+        assert count == conflicts._count_pivot(rows, heuristic=True), rows
+        upsets += count
+        pivot += conflicts._count_pivot(rows, heuristic=False)
+    assert upsets == pivot == 3528258
 
 
 def test_bench_variants_match_the_count_per_poset():
     for n in range(5):
         for rows in order_enum._poset_rows(n):
             for heuristic in (True, False):
-                expected = conflicts._count_packed(rows, heuristic=heuristic)
+                expected = conflicts._count_pivot(rows, heuristic=heuristic)
                 for dedupe in ("late", "naive"):
                     got = conflicts._count_variant(rows, heuristic=heuristic, dedupe=dedupe)
                     assert got == expected
@@ -226,6 +242,20 @@ def sparse_posets(draw):
 def test_sparse_shuffled_ids_match_brute_force(p):
     listed = allowed_conflicts(p)
     assert set(listed) == brute_force_conflicts(p)
-    assert len(listed) == count_allowed_conflicts(p)
+    rows, _ = conflicts._pack_poset(p)
+    for heuristic in (True, False):
+        assert conflicts._count_pivot(rows, heuristic=heuristic) == len(listed)
+    assert count_allowed_conflicts(p) == conflicts._count_packed(rows) == len(listed)
     if p:
         assert choose_pivot(p).pivot in minimal_elements(p)
+
+
+def test_count_reaches_posets_listing_cannot():
+    # 50 events on sparse ids: 1,225 disjoint pairs in the antichain, none in the chain
+    ids = [7919 * i + 3 for i in range(50)]
+    antichain = frozenset((x, x) for x in ids)
+    chain = frozenset((x, y) for i, x in enumerate(ids) for y in ids[i:])
+    started = time.perf_counter()
+    assert count_allowed_conflicts(antichain) == 2**1225
+    assert count_allowed_conflicts(chain, pivot="first") == 1
+    assert time.perf_counter() - started < 1.0
