@@ -12,10 +12,11 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from typing import IO, Iterable, Iterator
+from operator import getitem
+from typing import IO, Callable
 
 from . import conflicts, es_enum, oracle, order_enum
-from .relations import EMPTY_REL, BoolMatrix, covering_relation, matrix_to_rel
+from .relations import covering_relation, matrix_to_rel, rel_to_matrix, rows_to_rel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -27,6 +28,7 @@ VERIFY_MAX_N = 3  # bound by the event-structure brute-force guard
 OEIS_DEFAULT_MAX_N = 6
 OEIS_LONG_MAX_N = 7
 BENCH_MAX_N = 6
+CANONICAL_MAX_N = 6  # at 7 the sort would hold 6.1-9.5 M keys
 PROGRESS_MIN_N = 5
 
 KINDS = ("preorders", "posets", "es")
@@ -70,13 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--canonical",
         action="store_true",
-        help="emit records in (causality, conflict) order",
+        help=(
+            "emit records in (causality, conflict) order; refused above "
+            f"n = {CANONICAL_MAX_N}, where the sort would hold millions of keys"
+        ),
     )
     p_enum.add_argument("--out", default=None, help="output path (default: stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser(
-        "verify", help="check the recursive enumerations against brute force"
+        "verify",
+        help="check the recursive enumerations against brute force and the up-set count",
     )
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.set_defaults(func=_cmd_verify)
@@ -161,70 +167,85 @@ def _cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
-def _groups(kind: str, n: int, canonical: bool) -> Iterator[tuple[list, Iterable[list]]]:
-    """(causality, its conflicts) per relation, each relation a sorted pair list.
+class _RowText(dict):
+    """Text of one packed row per row mask: its set bits' pieces, joined on first use."""
 
-    Preorders and posets carry one empty conflict each.  With canonical,
-    the relations are sorted, and so are the conflicts of each poset as it
-    comes up: (causality, conflict) order without holding the stream.
-    """
-    rows_stream = order_enum._rows_stream(n) if kind == "preorders" else order_enum._poset_rows(n)
-    if canonical:
-        # One int i*n + j per pair, rows then bits ascending: the order of
-        # the sorted pair lists, at a fraction of their memory.
-        rows_stream = sorted(
-            rows_stream,
-            key=lambda rows: tuple(
-                i * n + j for i, row in enumerate(rows) for j in range(n) if row >> j & 1
-            ),
-        )
-    if kind == "es":
-        groups = es_enum._by_poset(n, rows_stream)
-    else:
-        groups = ((matrix_to_rel(BoolMatrix(n, rows)), [EMPTY_REL]) for rows in rows_stream)
-    for causality, conflict_stream in groups:
-        conflict_lists = map(sorted, conflict_stream)
-        yield sorted(causality), sorted(conflict_lists) if canonical else conflict_lists
+    def __init__(self, pieces: list[str]):
+        super().__init__()
+        self.pieces = pieces
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = "".join(p for j, p in enumerate(self.pieces) if mask >> j & 1)
+        return text
 
 
-def _braces(pairs) -> str:
-    return "{" + ", ".join(f"({x},{y})" for x, y in pairs) + "}"
-
-
-def _json(pairs) -> str:
-    return json.dumps(pairs, separators=(",", ":"))
+def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[_RowText]:
+    """One table per row index i; pair (i, j) reads as piece(i, j)."""
+    return [_RowText([piece(i, j) for j in range(n)]) for i in range(n)]
 
 
 def _emit(args, out: IO[str]) -> None:
-    """Write one record per (causality, conflict), formatting each causality once."""
-    kind, n = args.kind, args.n
+    """Write one record per (causality, conflict) straight from the packed rows.
+
+    A relation's text is the join of its rows' texts, looked up per (row
+    index, row mask), and each causality is formatted once for all its
+    conflicts.  Rows then bits ascending is the order of the sorted pair
+    list, so every record lists its pairs sorted.
+    """
+    kind, n, fmt = args.kind, args.n, args.format
+    rows_stream = order_enum._rows_stream(n) if kind == "preorders" else order_enum._poset_rows(n)
+    if args.canonical:
+        # Pair (i, j) keys as the character i*n + j, so comparing keys
+        # compares the sorted pair lists.
+        keys = _row_texts(n, lambda i, j: chr(i * n + j))
+
+        def key(rows) -> str:
+            return "".join(map(getitem, keys, rows))
+
+        rows_stream = sorted(rows_stream, key=key)
+    if kind == "es":
+        groups = es_enum._by_poset(rows_stream)
+    else:  # one empty conflict each
+        groups = ((rows, [(0,) * n]) for rows in rows_stream)
+
+    if fmt == "dot":
+        arcs = _row_texts(n, lambda i, j: f"  {i} -> {j};\n" if i != j else "")
+        dashed = _row_texts(
+            n, lambda i, j: f"  {i} -> {j} [style=dashed, dir=none];\n" if i < j else ""
+        )
+        vertices = "".join(f"  {v};\n" for v in range(n))
+    elif fmt == "jsonl":
+        # Each pair's text leads with its separator; cut drops the first one.
+        texts, cut = _row_texts(n, lambda i, j: f",[{i},{j}]"), 1
+    else:
+        texts, cut = _row_texts(n, lambda i, j: f", ({i},{j})"), 2
+
     index = 0
-    for causality, conflict_lists in _groups(kind, n, args.canonical):
-        if args.format == "pairs" and kind != "es":
-            out.write(_braces(causality) + "\n")
-        elif args.format == "pairs":
-            head = f"({_braces(causality)}, "
-            for conflict in conflict_lists:
-                out.write(f"{head}{_braces(conflict)})\n")
-        elif args.format == "jsonl":
-            head = f'{{"n":{n},"causality":{_json(causality)},"conflict":'
-            for conflict in conflict_lists:
-                out.write(f"{head}{_json(conflict)}}}\n")
-        else:
-            if kind == "preorders":
-                # A preorder may contain cycles, so no transitive reduction:
-                # draw every off-diagonal arc as-is.
-                arcs = [(x, y) for x, y in causality if x != y]
-            else:
-                arcs = sorted(covering_relation(frozenset(causality)))
-            body = "".join(f"  {v};\n" for v in range(n))
-            body += "".join(f"  {x} -> {y};\n" for x, y in arcs)
-            for conflict in conflict_lists:
-                dashed = "".join(
-                    f"  {x} -> {y} [style=dashed, dir=none];\n" for x, y in conflict if x < y
-                )
-                out.write(f"digraph {kind}_{index} {{\n{body}{dashed}}}\n")
+    for rows, confs in groups:
+        if args.canonical:
+            confs = sorted(confs, key=key)
+        if fmt == "dot":
+            if kind != "preorders":
+                # A preorder may contain cycles, so it draws every arc as-is;
+                # an order draws its transitive reduction.
+                cover = covering_relation(rows_to_rel(rows, range(n)))
+                rows = rel_to_matrix(cover, n).rows
+            head = vertices + "".join(map(getitem, arcs, rows))
+            for conf in confs:
+                dashes = "".join(map(getitem, dashed, conf))
+                out.write(f"digraph {kind}_{index} {{\n{head}{dashes}}}\n")
                 index += 1
+            continue
+        causality = "".join(map(getitem, texts, rows))[cut:]
+        if fmt == "pairs" and kind != "es":
+            out.write(f"{{{causality}}}\n")
+            continue
+        if fmt == "pairs":
+            head, tail = f"({{{causality}}}, {{", "})\n"
+        else:
+            head, tail = f'{{"n":{n},"causality":[{causality}],"conflict":[', "]}\n"
+        for conf in confs:
+            out.write(head + "".join(map(getitem, texts, conf))[cut:] + tail)
 
 
 def _open_for_write(path: str) -> IO[str] | None:
@@ -237,6 +258,12 @@ def _open_for_write(path: str) -> IO[str] | None:
 
 def _cmd_enumerate(args, parser) -> int:
     _check_n(parser, args.n)
+    if args.canonical and args.n > CANONICAL_MAX_N:
+        print(
+            f"enumerate: refusing --canonical at n={args.n} (ceiling {CANONICAL_MAX_N})",
+            file=sys.stderr,
+        )
+        return EXIT_GUARD
     out = nullcontext(sys.stdout) if args.out is None else _open_for_write(args.out)
     if out is None:
         return EXIT_USAGE
@@ -277,7 +304,17 @@ def _cmd_verify(args, parser) -> int:
         set(conflicts.allowed_conflicts(p)) == oracle.brute_force_conflicts(p)
         for p in posets
     )
-    check("conflicts", conflicts_ok, f"all {len(posets)} posets")
+    # The second route: the up-set count against the recursion's list.
+    counts_ok = all(
+        conflicts._count_packed(rows) == len(conflicts._conflicts_packed(rows))
+        for rows in order_enum._poset_rows(n)
+    )
+    check(
+        "conflicts",
+        conflicts_ok and counts_ok,
+        f"all {len(posets)} posets; brute force {'agrees' if conflicts_ok else 'differs'}, "
+        f"up-set count {'matches' if counts_ok else 'differs from'} the list",
+    )
 
     expected_es = oracle.brute_force_event_structures(n)
     got_es = set(es_enum.enumerate_event_structures(n))

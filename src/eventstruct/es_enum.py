@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import conflicts, order_enum
-from .relations import BoolMatrix, EventStructure, Rel, matrix_to_rel
+from .relations import BoolMatrix, EventStructure, matrix_to_rel
 
 ProgressFn = Callable[[int, "int | None"], None]
 CountFn = Callable[[Sequence[int]], int]  # conflicts of one poset's rows
@@ -42,20 +42,19 @@ class CountTable:
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
     """Yield every event structure over {0..n-1}, without repetition."""
-    for causality, conflict_stream in _by_poset(n, order_enum._poset_rows(n)):
-        for conflict in conflict_stream:
-            yield EventStructure(causality, conflict)
-
-
-def _by_poset(n: int, poset_rows: Iterable) -> Iterator[tuple[Rel, Iterator[Rel]]]:
-    """(causality, its conflicts) per poset matrix, in the order given."""
-    ids = tuple(range(n))
-    for rows in poset_rows:
-        packed = conflicts._conflicts_packed(rows)
+    ids = range(n)
+    for rows, packed in _by_poset(order_enum._poset_rows(n)):
+        causality = matrix_to_rel(BoolMatrix(n, rows))
         # Unpacked one at a time as the stream is read: the 7-event
         # antichain alone has 2,097,152 conflicts.
-        unpacked = (conflicts._unpack_conflict(conf, ids) for conf in packed)
-        yield matrix_to_rel(BoolMatrix(n, rows)), unpacked
+        for conf in packed:
+            yield EventStructure(causality, conflicts._unpack_conflict(conf, ids))
+
+
+def _by_poset(poset_rows: Iterable) -> Iterator[tuple[Sequence[int], list]]:
+    """(rows, their packed conflicts) per poset matrix, in the order given."""
+    for rows in poset_rows:
+        yield rows, conflicts._conflicts_packed(rows)
 
 
 def count_event_structures(

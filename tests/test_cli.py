@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -148,6 +149,54 @@ def test_enumerate_output_bytes_are_pinned(setting, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUT[setting]
 
 
+def _reference_records(n: int, fmt: str, canonical: bool) -> str:
+    """enumerate es output rebuilt from the public stream with sorted and json.dumps."""
+    structures = [
+        (sorted(es.causality), sorted(es.conflict))
+        for es in es_enum.enumerate_event_structures(n)
+    ]
+    if canonical:
+        structures.sort()
+
+    def braces(pairs):
+        return "{" + ", ".join(f"({x},{y})" for x, y in pairs) + "}"
+
+    if fmt == "pairs":
+        lines = (f"({braces(c)}, {braces(f)})" for c, f in structures)
+    else:
+        lines = (
+            json.dumps({"n": n, "causality": c, "conflict": f}, separators=(",", ":"))
+            for c, f in structures
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt, canonical", [("jsonl", False), ("pairs", False), ("jsonl", True)])
+def test_enumerate_matches_a_reference_formatter_at_n5(fmt, canonical):
+    out = io.StringIO()
+    cli._emit(argparse.Namespace(kind="es", n=5, format=fmt, canonical=canonical), out)
+    got = out.getvalue().split("\n")
+    want = _reference_records(5, fmt, canonical).split("\n")
+    # Line by line: pytest's diff of two 5 MB strings would take minutes.
+    for number, (line, expected) in enumerate(zip(got, want)):
+        assert line == expected, f"line {number}"
+    assert len(got) == len(want)
+
+
+def test_canonical_is_refused_above_its_ceiling(tmp_path, capsys):
+    path = tmp_path / "out"
+    for kind in ("preorders", "posets", "es"):
+        argv = ["enumerate", kind, "--n", str(cli.CANONICAL_MAX_N + 1), "--canonical"]
+        assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"enumerate: refusing --canonical at n={cli.CANONICAL_MAX_N + 1} "
+            f"(ceiling {cli.CANONICAL_MAX_N})\n"
+        )
+    assert not path.exists()  # refused before the output was opened
+
+
 class _Writes:
     """An output stream that only runs a callback on each write."""
 
@@ -213,6 +262,13 @@ def test_verify():
     assert result.stdout.count(": ok") == 4
     refused = run_cli("verify", "--n", "9")
     assert refused.returncode == 2
+
+
+def test_verify_runs_the_up_set_count(monkeypatch, capsys):
+    count = conflicts._count_packed
+    monkeypatch.setattr(conflicts, "_count_packed", lambda rows: count(rows) + 1)
+    assert cli.main(["verify", "--n", "2"]) == cli.EXIT_VERIFY
+    assert "conflicts: FAIL (" in capsys.readouterr().out
 
 
 def test_oeis():
