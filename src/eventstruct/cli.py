@@ -1,7 +1,7 @@
 """Command line front end: count, enumerate, verify, OEIS b-files, benchmarks.
 
-Exit codes: 0 success, 1 usage error, 2 guard refusal, 3 verification or
-consistency failure, 130 interrupted (Ctrl-C).
+Exit codes: 0 success, 1 usage error or failed worker, 2 guard refusal,
+3 verification or consistency failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .relations import covering_relation, matrix_to_rel, rel_to_matrix, rows_to_
 
 EXIT_OK = 0
 EXIT_USAGE = 1
+EXIT_WORKER_FAILED = 1  # shares the code of a usage error
 EXIT_GUARD = 2
 EXIT_VERIFY = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
@@ -414,6 +415,16 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("eventstruct: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Exception as exc:
+        # A pool worker's exception is re-raised here with the worker's
+        # traceback, as text, for its cause; an in-process one keeps its own.
+        # Imported here: the pool module costs about 10 ms at start-up.
+        from multiprocessing.pool import RemoteTraceback
+
+        if not isinstance(exc.__cause__, RemoteTraceback):
+            raise
+        print(f"eventstruct: worker failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_WORKER_FAILED
 
 
 if __name__ == "__main__":

@@ -111,15 +111,12 @@ def _rows_stream(n: int) -> Iterator[RowTuple]:
 
 
 def _antisymmetric_rows(rows: RowTuple) -> bool:
-    """No off-diagonal entry has its mirror set (diagonal is ignored)."""
-    for i, row in enumerate(rows):
-        t = row & ~(1 << i)
-        while t:
-            low = t & -t
-            if (rows[low.bit_length() - 1] >> i) & 1:
-                return False
-            t ^= low
-    return True
+    """No two events of the preorder rows are equivalent: all rows differ.
+
+    Valid for preorder rows only: there, i and j are equivalent exactly
+    when rows[i] == rows[j], so antisymmetry is one C-level set check.
+    """
+    return len(set(rows)) == len(rows)
 
 
 def _poset_rows(n: int) -> Iterator[RowTuple]:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -254,6 +255,28 @@ def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
     assert code == 130
     assert captured.out == ""
     assert captured.err == "eventstruct: interrupted\n"
+
+
+def _fail_count(rows):
+    raise RuntimeError("count failed")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a worker pool")
+def test_worker_failure_is_one_stderr_line(monkeypatch, capsys):
+    # the fork start method hands the patched count to the workers
+    monkeypatch.setattr(conflicts, "_count_packed", _fail_count)
+    code = cli.main(["count", "es", "--n", "5", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_WORKER_FAILED == 1
+    assert captured.out == ""
+    assert captured.err == "eventstruct: worker failed: RuntimeError: count failed\n"
+
+
+def test_in_process_failure_keeps_its_traceback(monkeypatch):
+    # n = 3 is one batch, so it counts in this process
+    monkeypatch.setattr(conflicts, "_count_packed", _fail_count)
+    with pytest.raises(RuntimeError, match="count failed"):
+        cli.main(["count", "es", "--n", "3", "--workers", "2"])
 
 
 def test_verify():

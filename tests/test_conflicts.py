@@ -162,6 +162,28 @@ def test_upset_count_matches_the_recursion_at_six():
     assert upsets == pivot == 3528258
 
 
+def test_relabeled_copy_is_the_poset_in_an_extending_order():
+    for n in range(6):
+        for rows in order_enum._poset_rows(n):
+            key = conflicts._relabeled(rows)
+            # sigma lists the events by row, descending
+            sigma = sorted(range(n), key=rows.__getitem__, reverse=True)
+            assert key == tuple(
+                sum(1 << j for j in range(n) if rows[sigma[i]] >> sigma[j] & 1)
+                for i in range(n)
+            )
+            # index order extends the copy: no set bit j of key[i] has j < i
+            assert all(key[i] & (1 << i) - 1 == 0 for i in range(n)), rows
+
+
+def test_count_is_memoized_on_the_relabeled_copy():
+    conflicts._count_upsets.cache_clear()
+    posets = list(order_enum._poset_rows(5))
+    assert sum(map(conflicts._count_packed, posets)) == 41099
+    # isomorphic posets that relabel alike share one count
+    assert conflicts._count_upsets.cache_info().misses < len(posets) / 4
+
+
 def test_bench_variants_match_the_count_per_poset():
     for n in range(5):
         for rows in order_enum._poset_rows(n):

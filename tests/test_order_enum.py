@@ -144,6 +144,37 @@ def test_matches_brute_force():
         assert set(enumerate_posets(n)) == brute_force_posets(n)
 
 
+def _antisymmetric_by_bits(rows):
+    """The filter's former bit loop: no off-diagonal entry has its mirror set."""
+    for i, row in enumerate(rows):
+        t = row & ~(1 << i)
+        while t:
+            low = t & -t
+            if (rows[low.bit_length() - 1] >> i) & 1:
+                return False
+            t ^= low
+    return True
+
+
+def test_distinct_rows_filter_agrees_with_the_bit_loop():
+    for n in range(6):
+        for rows in order_enum._rows_stream(n):
+            assert order_enum._antisymmetric_rows(rows) == _antisymmetric_by_bits(rows), rows
+
+
+def test_preorders_are_posets_on_their_blocks():
+    # A preorder is a poset on its classes of equivalent events, so
+    # A000798(n) = sum over k of S(n, k) * A001035(k), S the Stirling
+    # numbers of the second kind: a second route to the filter's counts.
+    stirling = [[1]]  # stirling[n][k] = S(n, k)
+    for n in range(1, 7):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    assert stirling[6] == [0, 1, 31, 90, 65, 15, 1]
+    for n in range(7):
+        assert count_preorders(n) == sum(s * count_posets(k) for k, s in enumerate(stirling[n]))
+
+
 def test_enumeration_order_is_deterministic():
     first = [a.rows for a in enumerate_preorders(4)]
     second = [a.rows for a in enumerate_preorders(4)]
