@@ -20,7 +20,6 @@ from .relations import covering_relation, matrix_to_rel, rel_to_matrix, rows_to_
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_WORKER_FAILED = 1  # shares the code of a usage error
 EXIT_GUARD = 2
 EXIT_VERIFY = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
         if not isinstance(exc.__cause__, RemoteTraceback):
             raise
         print(f"eventstruct: worker failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_WORKER_FAILED
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -146,7 +146,7 @@ def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
     up-set), for the 65,536 most recently used copies, about 230 bytes
     each on 6 events.  A cache hit (any poset isomorphic to an earlier
     one and sorted alike) costs the sort, the relabeling and one hash,
-    about 3.5 us on 6 events, and no count.
+    about 6 us on 6 events, and no count.
     """
     p = frozenset(p)
     _require_poset(p)
@@ -298,31 +298,6 @@ def _spread_masks(n: int) -> tuple[int, int]:
     return sum(1 << c * n for c in range(n)), sum(1 << c * (n + 1) for c in range(n))
 
 
-# Up to this many events a relabeling is tabulated, one byte per row mask:
-# that takes _relabeled from about 5 to 3.5 us per 6-event poset.
-_TABLE_MAX_N = 8
-
-
-@lru_cache(maxsize=1 << 13)
-def _relabeling(order: tuple[int, ...]):
-    """Relabel of a row mask that gives old index order[i] the new index i."""
-    bits = [0] * len(order)
-    for i, e in enumerate(order):
-        bits[e] = 1 << i
-
-    def relabel(mask: int) -> int:
-        new = 0
-        while mask:
-            low = mask & -mask
-            new |= bits[low.bit_length() - 1]
-            mask ^= low
-        return new
-
-    if len(order) > _TABLE_MAX_N:
-        return relabel
-    return bytes(map(relabel, range(1 << len(order)))).__getitem__
-
-
 def _relabeled(rows) -> tuple[int, ...]:
     """An isomorphic copy of the poset rows whose index order extends it.
 
@@ -330,8 +305,20 @@ def _relabeled(rows) -> tuple[int, ...]:
     rows above it, so it is larger, and every set bit j of row i of the
     copy has j >= i.  Isomorphic posets that sort alike get equal copies.
     """
-    order = tuple(sorted(range(len(rows)), key=rows.__getitem__, reverse=True))
-    return tuple(map(_relabeling(order), map(rows.__getitem__, order)))
+    order = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
+    bits = [0] * len(rows)
+    for i, e in enumerate(order):
+        bits[e] = 1 << i
+    key = []
+    for e in order:
+        row = rows[e]
+        new = 0
+        while row:
+            low = row & -row
+            new |= bits[low.bit_length() - 1]
+            row ^= low
+        key.append(new)
+    return tuple(key)
 
 
 def _count_packed(rows) -> int:
