@@ -130,15 +130,15 @@ def _check_n(parser: argparse.ArgumentParser, n: int) -> None:
         parser.error("--n must be >= 0")
 
 
-def _progress(n: int, label: str = "posets"):
+def _progress(n: int):
     if n < PROGRESS_MIN_N:
         return None
 
     def report(done: int, total: int | None) -> None:
         if total is None:
-            sys.stderr.write(f"progress: {done} {label} processed\n")
+            sys.stderr.write(f"progress: {done} posets processed\n")
         else:
-            sys.stderr.write(f"progress: {done}/{total} {label} processed\n")
+            sys.stderr.write(f"progress: {done}/{total} posets processed\n")
         sys.stderr.flush()
 
     return report

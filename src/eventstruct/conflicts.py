@@ -23,7 +23,8 @@ event structures and domains", TCS 1981).  So the count is the number
 of up-sets of the disjoint-pair poset, which needs no conflict built.
 
 Both routes run on packed int-bitmask rows; the public functions accept
-and return plain pair sets.
+and return plain pair sets, and each checks and packs its input through
+_packed.
 """
 
 from __future__ import annotations
@@ -32,16 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .relations import (
-    Rel,
-    columns,
-    domain_of,
-    field_of,
-    image,
-    immediate_successors,
-    is_partial_order,
-    minimal_elements,
-    remove_element,
-    rows_to_rel,
+    Rel, columns, field_of, is_partial_order, remove_element, rows_to_rel
 )
 
 
@@ -53,11 +45,6 @@ class PivotResult:
     reduced: Rel
 
 
-def _require_poset(p: Rel) -> None:
-    if not is_partial_order(p):
-        raise ValueError("relation is not a partial order")
-
-
 def choose_pivot(p: Rel) -> PivotResult:
     """Minimal element with the most immediate successors, smallest id on ties.
 
@@ -65,21 +52,25 @@ def choose_pivot(p: Rel) -> PivotResult:
     recursion faster: counting every structure at n = 6 through the
     recursion (the bench command's variants) took 8.78 s with it against
     8.21 s with choose_pivot_first (one run each, CPython 3.11 on a
-    2-core host).  p must be a partial order.
+    2-core host).  Raises ValueError unless p is a partial order on
+    natural-number ids.
     """
     return _choose(p, heuristic=True)
 
 
 def choose_pivot_first(p: Rel) -> PivotResult:
-    """Smallest-id minimal element, with no further criterion."""
+    """Smallest-id minimal element, with no further criterion.
+
+    Raises ValueError unless p is a partial order on natural-number ids.
+    """
     return _choose(p, heuristic=False)
 
 
 def _choose(p: Rel, *, heuristic: bool) -> PivotResult:
     p = frozenset(p)
-    if not p:
+    rows, ids = _packed(p)
+    if not rows:
         return PivotResult(None, p)
-    rows, ids = _pack_poset(p)
     m = ids[_pivot_packed(rows, columns(rows), (1 << len(rows)) - 1, heuristic)[0]]
     return PivotResult(m, remove_element(p, m))
 
@@ -90,40 +81,30 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
     p must be a finite poset, m one of its minimal elements, and c an
     allowed conflict for remove_element(p, m).  With immediate_only=False
     the base intersection runs over all strict successors of m instead of
-    only the immediate ones; the output set is the same.
+    only the immediate ones; the output set is the same.  Raises
+    ValueError when p is not a partial order on natural-number ids, when
+    m is not minimal in p, or when c names m or an event outside p.
     """
-    p = frozenset(p)
-    c = frozenset(c)
-    _require_poset(p)
-    if m not in minimal_elements(p):
+    rows, ids = _packed(p)
+    index = {x: i for i, x in enumerate(ids)}
+    k = index.get(m)
+    if k is None or columns(rows)[k] != 1 << k:
         raise ValueError(f"{m} is not a minimal element of the relation")
-    reduced = remove_element(p, m)
-    strict = image(p, {m}) - {m}
-    if not strict:
-        base = domain_of(p)
-    else:
-        successors = immediate_successors(p, m) if immediate_only else strict
-        base = None
-        for s in successors:
-            img = image(c, {s})
-            base = img if base is None else base & img
-    ys: list[frozenset[int]] = [frozenset()]
-    for x in sorted(base):
-        img_x = frozenset(image(reduced, {x}))
-        ys += [y | img_x for y in ys]
-    return [
-        c | frozenset((m, e) for e in y) | frozenset((e, m) for e in y)
-        for y in dict.fromkeys(ys)
-    ]
+    conf = [0] * len(rows)
+    for x, y in c:
+        if x == m or y == m or x not in index or y not in index:
+            raise ValueError(f"c must relate events of p other than {m}: got ({x}, {y})")
+        conf[index[x]] |= 1 << index[y]
+    full = (1 << len(rows)) - 1
+    step = _step(rows, full, (k, *_successors(rows, k, full)), immediate_only)
+    return [_unpack_conflict(ext, ids) for ext in _grow([tuple(conf)], [step])]
 
 
 def allowed_conflicts(
     p: Rel, *, pivot: str = "heuristic", immediate_only: bool = True
 ) -> list[Rel]:
     """Duplicate-free list of every conflict relation valid for the poset p."""
-    p = frozenset(p)
-    _require_poset(p)
-    rows, ids = _pack_poset(p)
+    rows, ids = _packed(p)
     packed = _conflicts_packed(
         rows, heuristic=_heuristic(pivot), immediate_only=immediate_only
     )
@@ -148,10 +129,8 @@ def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
     one and sorted alike) costs the sort, the relabeling and one hash,
     about 6 us on 6 events, and no count.
     """
-    p = frozenset(p)
-    _require_poset(p)
+    rows, _ = _packed(p)
     _heuristic(pivot)
-    rows, _ = _pack_poset(p)
     return _count_packed(rows)
 
 
@@ -167,10 +146,11 @@ def _heuristic(pivot: str) -> bool:
 # (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
 # bitmask rows over the same indices.
 #
-# _chain fixes the pivot steps, and _grow is the one level loop over them:
-# _conflicts_packed lists the conflicts.  _count_packed counts them as
-# up-sets of the disjoint-pair poset and shares no code with the
-# recursion, so each checks the other.  It relabels the poset first
+# _chain fixes the pivot steps (_step), and _grow is the one level loop
+# over them: _conflicts_packed lists the conflicts, and generate_conflicts
+# runs a single step.  _count_packed counts the conflicts as up-sets of
+# the disjoint-pair poset and shares no code with the recursion, so each
+# checks the other.  It relabels the poset first
 # (_relabeled) and memoizes the count on that copy (_count_upsets), so
 # the isomorphic posets that relabel alike are counted once: 4,824 counts
 # for the 130,023 posets on 6 events.  _count_pivot (the recursion,
@@ -179,8 +159,16 @@ def _heuristic(pivot: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pack_poset(p: Rel) -> tuple[list[int], tuple[int, ...]]:
-    """Rows of p over the indices of its sorted field, and that field."""
+def _packed(p: Rel) -> tuple[list[int], tuple[int, ...]]:
+    """Rows of the poset p over the indices of its sorted field, and that field.
+
+    The one input check of the public functions: raises ValueError unless
+    p is a partial order on natural-number ids.
+    """
+    p = frozenset(p)
+    # Looked up as a module attribute, which the benchmark's traced run wraps.
+    if not is_partial_order(p):
+        raise ValueError("relation is not a partial order")
     ids = tuple(sorted(field_of(p)))
     if ids and ids[0] < 0:
         raise ValueError("event ids must be natural numbers")
@@ -207,17 +195,7 @@ def _pivot_packed(rows, cols, s: int, heuristic: bool):
         m = low.bit_length() - 1
         if cols[m] & s != low:
             continue  # m has a strict predecessor in s
-        succ = rows[m] & s & ~low
-        if succ:
-            reachable = 0
-            u = succ
-            while u:
-                l2 = u & -u
-                reachable |= rows[l2.bit_length() - 1] & ~l2
-                u ^= l2
-            imm = succ & ~reachable
-        else:
-            imm = 0
+        succ, imm = _successors(rows, m, s)
         if not heuristic:
             return m, succ, imm
         count = imm.bit_count()
@@ -226,24 +204,39 @@ def _pivot_packed(rows, cols, s: int, heuristic: bool):
     return best
 
 
-def _chain(rows, heuristic: bool, immediate_only: bool) -> list[tuple]:
-    """Pivot steps (m, base_succ, s1, imgs), last pivot first.
+def _successors(rows, m: int, s: int) -> tuple[int, int]:
+    """Masks of m's strict successors within s and of the immediate ones among them."""
+    succ = rows[m] & s & ~(1 << m)
+    reachable = 0
+    u = succ
+    while u:
+        low = u & -u
+        reachable |= rows[low.bit_length() - 1] & ~low
+        u ^= low
+    return succ, succ & ~reachable
 
-    Step m joins the sub-poset s1, and imgs[x] is row x within s1.  The
-    base meets the conflict rows of base_succ, which is 0 exactly when m
-    has no strict successor (those always include an immediate one).
+
+def _step(rows, s: int, pivot, immediate_only: bool) -> tuple:
+    """Step (m, base_succ, s1, imgs) adding the pivot (m, succ, imm) to s1 = s - {m}.
+
+    imgs[x] is row x within s1.  The base meets the conflict rows of
+    base_succ, which is 0 exactly when m has no strict successor in s
+    (those always include an immediate one).
     """
-    n = len(rows)
+    m, succ, imm = pivot
+    s1 = s & ~(1 << m)
+    return m, imm if immediate_only else succ, s1, [row & s1 for row in rows]
+
+
+def _chain(rows, heuristic: bool, immediate_only: bool) -> list[tuple]:
+    """Pivot steps (see _step), last pivot first."""
     cols = columns(rows)
     chain = []
-    s = (1 << n) - 1
+    s = (1 << len(rows)) - 1
     while s:
-        m, succ, imm = _pivot_packed(rows, cols, s, heuristic)
-        s1 = s & ~(1 << m)
-        base_succ = imm if immediate_only else succ
-        imgs = [rows[x] & s1 for x in range(n)]
-        chain.append((m, base_succ, s1, imgs))
-        s = s1
+        step = _step(rows, s, _pivot_packed(rows, cols, s, heuristic), immediate_only)
+        chain.append(step)
+        s = step[2]
     chain.reverse()
     return chain
 

@@ -103,6 +103,9 @@ def _level(n: int) -> list[RowTuple]:
 
 
 def _rows_stream(n: int) -> Iterator[RowTuple]:
+    """Every order-n preorder row tuple: the one source of all streams."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n <= _CACHE_MAX_ORDER:
         yield from _level(n)
     else:
@@ -131,9 +134,18 @@ def _bools(mask: int, k: int) -> tuple[bool, ...]:
 def valid_extensions(a: BoolMatrix) -> list[ExtensionPair]:
     """Every (alpha, beta) whose bordered matrix stays reflexive and transitive.
 
-    a must itself be reflexive and transitive.  Pairs come out in
-    ascending (alpha, beta) bitmask order.
+    a must itself be reflexive and transitive, else ValueError.  Pairs
+    come out in ascending (alpha, beta) bitmask order.
     """
+    for i, row in enumerate(a.rows):
+        reach = 0
+        t = row
+        while t:
+            low = t & -t
+            reach |= a.rows[low.bit_length() - 1]
+            t ^= low
+        if not row >> i & 1 or reach != row:
+            raise ValueError("matrix is not a preorder (reflexive and transitive)")
     out = []
     for alpha, betas in _extension_groups(a.rows, a.order):
         alpha_bools = _bools(alpha, a.order)

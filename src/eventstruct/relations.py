@@ -14,14 +14,6 @@ from typing import Iterable, Sequence
 Pair = tuple[int, int]
 Rel = frozenset[Pair]
 
-EMPTY_REL: Rel = frozenset()
-
-
-def as_rel(pairs: Iterable[Pair]) -> Rel:
-    """Normalize any iterable of (x, y) pairs to a Rel."""
-    return frozenset((x, y) for x, y in pairs)
-
-
 def domain_of(r: Rel) -> set[int]:
     return {x for x, _ in r}
 

@@ -79,6 +79,57 @@ def test_generate_conflicts_rejects_bad_input():
         generate_conflicts(CHAIN2, 1, frozenset())
 
 
+CYCLE2 = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+
+
+def test_choose_pivot_rejects_non_posets():
+    for choose in (choose_pivot, choose_pivot_first):
+        for bad in (CYCLE2, MUTUAL, frozenset({(0, 1)}), frozenset({(-1, -1)})):
+            with pytest.raises(ValueError):
+                choose(bad)
+
+
+def test_generate_conflicts_rejects_conflicts_off_the_reduced_poset():
+    # c may only relate events of p other than m
+    for c in (
+        frozenset({(0, 1), (1, 0)}),  # names m = 0
+        frozenset({(1, 3), (3, 1)}),  # 3 is not an event of p
+    ):
+        with pytest.raises(ValueError):
+            generate_conflicts(V_POSET, 0, c)
+    with pytest.raises(ValueError):
+        generate_conflicts(V_POSET, 7, frozenset())  # m is not an event of p
+
+
+def test_negative_ids_are_refused():
+    p = frozenset({(-1, -1), (0, 0)})
+    for call in (
+        allowed_conflicts,
+        count_allowed_conflicts,
+        choose_pivot,
+        choose_pivot_first,
+        lambda q: generate_conflicts(q, -1, frozenset()),
+    ):
+        with pytest.raises(ValueError, match="natural numbers"):
+            call(p)
+
+
+def test_generate_conflicts_matches_brute_force():
+    # independent of _grow: the brute-force conflicts of p, grouped by
+    # their restriction to p - {m}
+    for n in range(5):
+        for p in enumerate_posets(n):
+            everything = brute_force_conflicts(p)
+            for m in minimal_elements(p):
+                reduced = remove_element(p, m)
+                for c in brute_force_conflicts(reduced):
+                    expected = {d for d in everything if remove_element(d, m) == c}
+                    for immediate_only in (True, False):
+                        got = generate_conflicts(p, m, c, immediate_only=immediate_only)
+                        assert len(got) == len(set(got))
+                        assert set(got) == expected, (p, m, c)
+
+
 def test_allowed_conflicts_examples():
     assert allowed_conflicts(CHAIN2) == [frozenset()]
     assert set(allowed_conflicts(ANTICHAIN2)) == {frozenset(), MUTUAL}
@@ -264,7 +315,7 @@ def sparse_posets(draw):
 def test_sparse_shuffled_ids_match_brute_force(p):
     listed = allowed_conflicts(p)
     assert set(listed) == brute_force_conflicts(p)
-    rows, _ = conflicts._pack_poset(p)
+    rows, _ = conflicts._packed(p)
     for heuristic in (True, False):
         assert conflicts._count_pivot(rows, heuristic=heuristic) == len(listed)
     assert count_allowed_conflicts(p) == conflicts._count_packed(rows) == len(listed)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from eventstruct import order_enum
+from eventstruct import es_enum, order_enum
 from eventstruct.oracle import brute_force_posets, brute_force_preorders
 from eventstruct.order_enum import (
     ExtensionPair,
@@ -72,6 +72,20 @@ def test_all_false_extension_always_valid():
 def test_valid_extensions_match_brute_force_order_three():
     for a in enumerate_preorders(3):
         assert set(valid_extensions(a)) == brute_force_extensions(a)
+
+
+def test_valid_extensions_rejects_non_preorders():
+    # exactly the preorders are accepted, over every matrix of order <= 3,
+    # such as the non-reflexive BoolMatrix(2, (0b10, 0b01))
+    for k in range(4):
+        preorders = set(enumerate_preorders(k))
+        for code in range(1 << k * k):
+            a = BoolMatrix(k, tuple(code >> k * i & (1 << k) - 1 for i in range(k)))
+            if a in preorders:
+                valid_extensions(a)
+            else:
+                with pytest.raises(ValueError):
+                    valid_extensions(a)
 
 
 def test_preorder_counts():
@@ -208,6 +222,28 @@ def test_level_cache_is_built_once_under_threads(monkeypatch):
         assert not thread.is_alive()
     assert results == [219, 219]
     assert [len(level) for level in order_enum._levels] == [1, 1, 4, 29, 355]
+
+
+def test_negative_n_is_refused(monkeypatch):
+    # before and after level 4 is cached, since _level(n) indexes the cache
+    calls = (
+        count_preorders,
+        count_posets,
+        enumerate_preorders,
+        enumerate_strict_preorders,
+        enumerate_strict_posets,
+        enumerate_posets,
+        es_enum.count_event_structures,
+        es_enum.count_event_structures_variant,
+        lambda n: list(es_enum.enumerate_event_structures(n)),
+    )
+    monkeypatch.setattr(order_enum, "_levels", [[()]])
+    for warm in (False, True):
+        if warm:
+            assert count_preorders(4) == 355
+        for call in calls:
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                call(-1)
 
 
 @pytest.mark.slow
