@@ -32,7 +32,7 @@ CANONICAL_MAX_N = 6  # at 7 the sort would hold 6.1-9.5 M keys
 PROGRESS_MIN_N = 5
 
 KINDS = ("preorders", "posets", "es")
-SEQUENCES = ("A000798", "A001035", "A284276")
+SEQUENCES = ("A000798", "A001035", "A284276")  # the counts of KINDS, by position
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,21 +149,23 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _counter(kind: str, workers: int) -> Callable[[int], int]:
+    """The count of kind at n, as a function of n; es counts on workers processes."""
+    return {
+        "preorders": order_enum.count_preorders,
+        "posets": order_enum.count_posets,
+        "es": lambda n: es_enum.count_event_structures(
+            n, workers=workers, progress=_progress(n)
+        ),
+    }[kind]
+
+
 def _cmd_count(args, parser) -> int:
     _check_n(parser, args.n)
-    if args.kind == "preorders":
-        print(order_enum.count_preorders(args.n))
-    elif args.kind == "posets":
-        print(order_enum.count_posets(args.n))
-    else:
-        workers = args.workers if args.workers is not None else _default_workers()
-        if workers < 1:
-            parser.error("--workers must be >= 1")
-        print(
-            es_enum.count_event_structures(
-                args.n, workers=workers, progress=_progress(args.n)
-            )
-        )
+    workers = args.workers if args.workers is not None else _default_workers()
+    if args.kind == "es" and workers < 1:
+        parser.error("--workers must be >= 1")
+    print(_counter(args.kind, workers)(args.n))
     return EXIT_OK
 
 
@@ -334,14 +336,7 @@ def _cmd_oeis(args, parser) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
-    count_fns = {
-        "A000798": order_enum.count_preorders,
-        "A001035": order_enum.count_posets,
-        "A284276": lambda k: es_enum.count_event_structures(
-            k, workers=_default_workers(), progress=_progress(k)
-        ),
-    }
-    fn = count_fns[args.sequence]
+    fn = _counter(KINDS[SEQUENCES.index(args.sequence)], _default_workers())
     for k in range(args.max_n + 1):
         print(f"{k + args.offset} {fn(k)}", flush=True)
     return EXIT_OK

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .relations import (
-    Rel, columns, field_of, is_partial_order, remove_element, rows_to_rel
+    Rel, columns, field_of, is_event_structure, is_partial_order, remove_element,
+    rows_to_rel,
 )
 
 
@@ -50,8 +51,8 @@ def choose_pivot(p: Rel) -> PivotResult:
 
     This is the default pivot of allowed_conflicts.  It does not make the
     recursion faster: counting every structure at n = 6 through the
-    recursion (the bench command's variants) took 8.78 s with it against
-    8.21 s with choose_pivot_first (one run each, CPython 3.11 on a
+    recursion (bench --n 6, dedupe final) took 12.43 s with it against
+    10.17 s with choose_pivot_first (one run each, CPython 3.11 on a
     2-core host).  Raises ValueError unless p is a partial order on
     natural-number ids.
     """
@@ -83,17 +84,18 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
     the base intersection runs over all strict successors of m instead of
     only the immediate ones; the output set is the same.  Raises
     ValueError when p is not a partial order on natural-number ids, when
-    m is not minimal in p, or when c names m or an event outside p.
+    m is not minimal in p, or when c is not an allowed conflict of
+    remove_element(p, m) (which refuses a c naming m or an event outside p).
     """
     rows, ids = _packed(p)
     index = {x: i for i, x in enumerate(ids)}
     k = index.get(m)
     if k is None or columns(rows)[k] != 1 << k:
         raise ValueError(f"{m} is not a minimal element of the relation")
+    if not is_event_structure(remove_element(p, m), c):
+        raise ValueError(f"c is not an allowed conflict of p without {m}")
     conf = [0] * len(rows)
     for x, y in c:
-        if x == m or y == m or x not in index or y not in index:
-            raise ValueError(f"c must relate events of p other than {m}: got ({x}, {y})")
         conf[index[x]] |= 1 << index[y]
     full = (1 << len(rows)) - 1
     step = _step(rows, full, (k, *_successors(rows, k, full)), immediate_only)
@@ -147,15 +149,14 @@ def _heuristic(pivot: str) -> bool:
 # bitmask rows over the same indices.
 #
 # _chain fixes the pivot steps (_step), and _grow is the one level loop
-# over them: _conflicts_packed lists the conflicts, and generate_conflicts
-# runs a single step.  _count_packed counts the conflicts as up-sets of
-# the disjoint-pair poset and shares no code with the recursion, so each
-# checks the other.  It relabels the poset first
+# over them: _conflicts_packed lists the conflicts, _count_variant counts
+# them for the bench (every level built, under each dedupe placement),
+# and generate_conflicts runs a single step.  _count_packed counts the
+# conflicts as up-sets of the disjoint-pair poset and shares no code with
+# the recursion, so each checks the other.  It relabels the poset first
 # (_relabeled) and memoizes the count on that copy (_count_upsets), so
 # the isomorphic posets that relabel alike are counted once: 4,824 counts
-# for the 130,023 posets on 6 events.  _count_pivot (the recursion,
-# counting its last level without building it) and _count_variant (the
-# bench's dedupe variants, repeated Ys kept) are the bench's counts.
+# for the 130,023 posets on 6 events.
 # ---------------------------------------------------------------------------
 
 
@@ -358,36 +359,19 @@ def _count_upsets(key: tuple[int, ...]) -> int:
     return sum(counts.values())
 
 
-def _count_pivot(rows, *, heuristic: bool) -> int:
-    """len(_conflicts_packed(rows)) by the recursion, without building the last level.
-
-    The last step's unique hook only tallies the distinct Ys of each
-    conflict and yields none of them, so no extension is built.
-    """
-    steps = _chain(rows, heuristic, True)
-    if not steps:
-        return 1
-    counts = []
-
-    def tally(ys):
-        counts.append(len(set(ys)))
-        return ()
-
-    _grow(_grow([(0,) * len(rows)], steps[:-1]), steps[-1:], unique=tally)
-    return sum(counts)
-
-
 def _count_variant(rows, *, heuristic: bool, dedupe: str) -> int:
-    """Bench-only count with the repeated Ys kept in each level.
+    """Number of allowed conflicts of rows by the recursion, under a dedupe placement.
 
-    "late" removes the duplicate conflicts after each level, "naive"
-    only once, at the end; both agree with _count_pivot.
+    Every placement builds every level.  "final" drops the repeated Ys
+    of each conflict, as listing does; "late" keeps them and removes the
+    duplicate conflicts after each level, "naive" only once, at the end.
     """
-    if dedupe not in ("late", "naive"):
+    if dedupe not in ("final", "late", "naive"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
+    unique = dict.fromkeys if dedupe == "final" else iter
     confs = [(0,) * len(rows)]
     for step in _chain(rows, heuristic, True):
-        confs = _grow(confs, [step], unique=iter)
+        confs = _grow(confs, [step], unique=unique)
         if dedupe == "late":
             confs = list(dict.fromkeys(confs))
-    return len(set(confs))
+    return len(set(confs)) if dedupe == "naive" else len(confs)

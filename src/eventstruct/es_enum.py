@@ -87,10 +87,7 @@ def count_event_structures_variant(
     is what the bench command measures.
     """
     heuristic = conflicts._heuristic(pivot)
-    if dedupe == "final":
-        count = partial(conflicts._count_pivot, heuristic=heuristic)
-    else:  # _count_variant rejects unknown modes
-        count = partial(conflicts._count_variant, heuristic=heuristic, dedupe=dedupe)
+    count = partial(conflicts._count_variant, heuristic=heuristic, dedupe=dedupe)
     return _count(n, count=count, progress=progress)[0]
 
 

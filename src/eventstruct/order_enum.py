@@ -19,7 +19,9 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from .relations import BoolMatrix, Rel, columns, matrix_to_rel
+from .relations import (
+    BoolMatrix, Rel, columns, is_reflexive_on, is_transitive, matrix_to_rel, set_diag
+)
 
 RowTuple = tuple[int, ...]
 
@@ -137,15 +139,9 @@ def valid_extensions(a: BoolMatrix) -> list[ExtensionPair]:
     a must itself be reflexive and transitive, else ValueError.  Pairs
     come out in ascending (alpha, beta) bitmask order.
     """
-    for i, row in enumerate(a.rows):
-        reach = 0
-        t = row
-        while t:
-            low = t & -t
-            reach |= a.rows[low.bit_length() - 1]
-            t ^= low
-        if not row >> i & 1 or reach != row:
-            raise ValueError("matrix is not a preorder (reflexive and transitive)")
+    r = matrix_to_rel(a)
+    if not (is_reflexive_on(r, range(a.order)) and is_transitive(r)):
+        raise ValueError("matrix is not a preorder (reflexive and transitive)")
     out = []
     for alpha, betas in _extension_groups(a.rows, a.order):
         alpha_bools = _bools(alpha, a.order)
@@ -160,18 +156,12 @@ def enumerate_preorders(n: int) -> list[BoolMatrix]:
 
 def enumerate_strict_preorders(n: int) -> list[BoolMatrix]:
     """The preorder matrices with every diagonal entry cleared."""
-    return [
-        BoolMatrix(n, tuple(row & ~(1 << i) for i, row in enumerate(rows)))
-        for rows in _rows_stream(n)
-    ]
+    return [set_diag(BoolMatrix(n, rows), False) for rows in _rows_stream(n)]
 
 
 def enumerate_strict_posets(n: int) -> list[BoolMatrix]:
     """Strict preorder matrices with no mutually-true off-diagonal pair."""
-    return [
-        BoolMatrix(n, tuple(row & ~(1 << i) for i, row in enumerate(rows)))
-        for rows in _poset_rows(n)
-    ]
+    return [set_diag(BoolMatrix(n, rows), False) for rows in _poset_rows(n)]
 
 
 def enumerate_posets(n: int) -> list[Rel]:

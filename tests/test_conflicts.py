@@ -101,6 +101,18 @@ def test_generate_conflicts_rejects_conflicts_off_the_reduced_poset():
         generate_conflicts(V_POSET, 7, frozenset())  # m is not an event of p
 
 
+def test_generate_conflicts_rejects_conflicts_not_allowed_on_the_reduced_poset():
+    # c stays on the events of p - {m} but is not an allowed conflict there
+    p = frozenset({(0, 0), (1, 1), (2, 2), (1, 2)})
+    for c in (
+        frozenset({(1, 1)}),  # reflexive
+        frozenset({(1, 2)}),  # asymmetric
+        frozenset({(1, 2), (2, 1)}),  # conflicts 1 with 2, which is above it
+    ):
+        with pytest.raises(ValueError):
+            generate_conflicts(p, 0, c)
+
+
 def test_negative_ids_are_refused():
     p = frozenset({(-1, -1), (0, 0)})
     for call in (
@@ -207,9 +219,9 @@ def test_upset_count_matches_the_recursion_at_six():
     upsets = pivot = 0
     for rows in order_enum._poset_rows(6):
         count = conflicts._count_packed(rows)
-        assert count == conflicts._count_pivot(rows, heuristic=True), rows
+        assert count == len(conflicts._conflicts_packed(rows, heuristic=True)), rows
         upsets += count
-        pivot += conflicts._count_pivot(rows, heuristic=False)
+        pivot += len(conflicts._conflicts_packed(rows, heuristic=False))
     assert upsets == pivot == 3528258
 
 
@@ -239,16 +251,15 @@ def test_bench_variants_match_the_count_per_poset():
     for n in range(5):
         for rows in order_enum._poset_rows(n):
             for heuristic in (True, False):
-                expected = conflicts._count_pivot(rows, heuristic=heuristic)
-                for dedupe in ("late", "naive"):
+                expected = len(conflicts._conflicts_packed(rows, heuristic=heuristic))
+                for dedupe in ("final", "late", "naive"):
                     got = conflicts._count_variant(rows, heuristic=heuristic, dedupe=dedupe)
                     assert got == expected
 
 
 def test_count_variant_rejects_unknown_mode():
-    for dedupe in ("final", "bogus"):
-        with pytest.raises(ValueError):
-            conflicts._count_variant([], heuristic=True, dedupe=dedupe)
+    with pytest.raises(ValueError):
+        conflicts._count_variant([], heuristic=True, dedupe="bogus")
 
 
 def test_pivot_never_conflicts_with_itself():
@@ -317,7 +328,7 @@ def test_sparse_shuffled_ids_match_brute_force(p):
     assert set(listed) == brute_force_conflicts(p)
     rows, _ = conflicts._packed(p)
     for heuristic in (True, False):
-        assert conflicts._count_pivot(rows, heuristic=heuristic) == len(listed)
+        assert len(conflicts._conflicts_packed(rows, heuristic=heuristic)) == len(listed)
     assert count_allowed_conflicts(p) == conflicts._count_packed(rows) == len(listed)
     if p:
         assert choose_pivot(p).pivot in minimal_elements(p)
