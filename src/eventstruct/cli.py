@@ -356,7 +356,7 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _bench(args, report: IO[str] | None) -> int:
-    # Warm the shared poset cache so the first variant is not charged for it.
+    # Fill the preorder-level cache so the first variant is not charged for it.
     order_enum.count_posets(args.n)
     results = []
     for dedupe in args.dedupe:

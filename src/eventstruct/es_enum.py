@@ -147,11 +147,11 @@ def _count_batch(batch: list, *, count: CountFn | None) -> tuple[int, int]:
     return sum(map(count, batch)), len(batch)
 
 
-def _batched(items: Iterable, size: int = _BATCH_SIZE) -> Iterator[list]:
+def _batched(items: Iterable) -> Iterator[list]:
     batch = []
     for item in items:
         batch.append(item)
-        if len(batch) == size:
+        if len(batch) == _BATCH_SIZE:
             yield batch
             batch = []
     if batch:

@@ -1,7 +1,9 @@
 """Acceptance gate: one check (and one printed pass/fail line) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-pass; the n=7 count is behind the `slow` marker.
+pass; the n=7 count is behind the `slow` marker.  C7 runs the bench
+variants at n=5; their n=6 totals under both pivots are checked by the
+slow `test_upset_count_matches_the_recursion_at_six` in test_conflicts.py.
 """
 
 import json
@@ -182,40 +184,24 @@ def test_c6e_transitive_reduction_round_trip():
 
 
 def test_c7_bench_variants():
-    count_posets(5)  # warm the shared poset cache so no variant pays for it
+    count_posets(5)  # fill the preorder-level cache so no variant pays for it
     timings = {}
     counts = set()
     for dedupe in ("naive", "late", "final"):
         for pivot in ("first", "heuristic"):
-            best = None
-            for _ in range(3):
-                started = time.perf_counter()
-                count = count_event_structures_variant(5, dedupe=dedupe, pivot=pivot)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-            timings[(dedupe, pivot)] = best
-            counts.add(count)
-
-    count_posets(6)
-    started = time.perf_counter()
-    six_first = count_event_structures_variant(6, pivot="first")
-    six_first_s = time.perf_counter() - started
-    started = time.perf_counter()
-    six_heuristic = count_event_structures_variant(6, pivot="heuristic")
-    six_heuristic_s = time.perf_counter() - started
+            started = time.perf_counter()
+            counts.add(count_event_structures_variant(5, dedupe=dedupe, pivot=pivot))
+            timings[(dedupe, pivot)] = time.perf_counter() - started
 
     final_s = timings[("final", "heuristic")]
     naive_s = timings[("naive", "heuristic")]
     print(
         f"[acceptance] C7 timings: n=5 dedupe-final {final_s:.2f}s vs "
         f"dedupe-naive {naive_s:.2f}s "
-        f"({'final faster' if final_s <= naive_s else 'ordering NOT reproduced'}); "
-        f"n=6 pivot-heuristic {six_heuristic_s:.2f}s vs pivot-first {six_first_s:.2f}s "
-        f"({'heuristic not slower' if six_heuristic_s <= six_first_s else 'ordering NOT reproduced'})",
+        f"({'final faster' if final_s <= naive_s else 'ordering NOT reproduced'})",
         flush=True,
     )
-    ok = counts == {41099} and six_first == six_heuristic == ES_COUNT_6
-    _report("C7 bench variants agree on counts (orderings reported above)", ok)
+    _report("C7 bench variants agree on counts (ordering reported above)", counts == {41099})
 
 
 def test_c8_cli_contract(tmp_path):

@@ -71,14 +71,15 @@ def test_enumerate_jsonl_round_trip():
     assert len(result.stdout.splitlines()) == 41
 
 
-def test_enumerate_record_count_matches_count():
+def test_enumerate_record_count_matches_count(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
     for kind in ("preorders", "posets", "es"):
         for n in range(4):
-            lines = run_cli(
-                "enumerate", kind, "--n", str(n), "--format", "jsonl"
-            ).stdout.splitlines()
-            count = int(run_cli("count", kind, "--n", str(n)).stdout)
-            assert len(lines) == count
+            argv = ["enumerate", kind, "--n", str(n), "--format", "jsonl"]
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+            assert cli.main(["count", kind, "--n", str(n)]) == cli.EXIT_OK
+            count = int(capsys.readouterr().out)
+            assert len(out.read_text().splitlines()) == count
 
 
 def test_enumerate_canonical_is_byte_stable():
