@@ -16,7 +16,9 @@ from operator import getitem
 from typing import IO, Callable
 
 from . import conflicts, es_enum, oracle, order_enum
-from .relations import covering_relation, matrix_to_rel, rel_to_matrix, rows_to_rel
+from .relations import (
+    RowTable, covering_relation, matrix_to_rel, rel_to_matrix, row_tables, rows_to_rel,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,21 +171,9 @@ def _cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
-class _RowText(dict):
-    """Text of one packed row per row mask: its set bits' pieces, joined on first use."""
-
-    def __init__(self, pieces: list[str]):
-        super().__init__()
-        self.pieces = pieces
-
-    def __missing__(self, mask: int) -> str:
-        text = self[mask] = "".join(p for j, p in enumerate(self.pieces) if mask >> j & 1)
-        return text
-
-
-def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[_RowText]:
-    """One table per row index i; pair (i, j) reads as piece(i, j)."""
-    return [_RowText([piece(i, j) for j in range(n)]) for i in range(n)]
+def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[RowTable]:
+    """One table per row index i: row mask -> text, where pair (i, j) reads as piece(i, j)."""
+    return row_tables(range(n), lambda i: [piece(i, j) for j in range(n)], "".join)
 
 
 def _emit(args, out: IO[str]) -> None:

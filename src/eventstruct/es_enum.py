@@ -42,13 +42,14 @@ class CountTable:
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
     """Yield every event structure over {0..n-1}, without repetition."""
-    ids = range(n)
+    # One table for the whole stream: every poset's events are 0..n-1.
+    table = conflicts._pair_table(range(n))
     for rows, packed in _by_poset(order_enum._poset_rows(n)):
         causality = matrix_to_rel(BoolMatrix(n, rows))
         # Unpacked one at a time as the stream is read: the 7-event
         # antichain alone has 2,097,152 conflicts.
         for conf in packed:
-            yield EventStructure(causality, conflicts._unpack_conflict(conf, ids))
+            yield EventStructure(causality, conflicts._unpack_conflict(conf, table))
 
 
 def _by_poset(poset_rows: Iterable) -> Iterator[tuple[Sequence[int], list]]:

@@ -9,7 +9,7 @@ functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Pair = tuple[int, int]
 Rel = frozenset[Pair]
@@ -184,16 +184,48 @@ def columns(rows: Sequence[int]) -> list[int]:
     return cols
 
 
+def pick_bits(row: int, items: Sequence) -> list:
+    """items[j] for every set bit j of row, in increasing j."""
+    picked = []
+    while row:
+        low = row & -row
+        picked.append(items[low.bit_length() - 1])
+        row ^= low
+    return picked
+
+
+class RowTable(dict):
+    """Row x's table: row mask -> join(pick_bits(mask, row_pieces(x))).
+
+    Each entry is made on first use and then looked up.  The row's
+    pieces, one per column, are made at its first nonzero mask; mask 0
+    is filled by row_tables, so a row that only ever meets mask 0 makes
+    none.
+    """
+
+    __slots__ = ("x", "row_pieces", "join", "pieces")
+
+    def __missing__(self, mask: int):
+        if self.pieces is None:
+            self.pieces = self.row_pieces(self.x)
+        value = self[mask] = self.join(pick_bits(mask, self.pieces))
+        return value
+
+
+def row_tables(ids: Sequence[int], row_pieces: Callable, join: Callable) -> list[RowTable]:
+    """One RowTable per id x of ids; mask 0 maps to join(()) in each."""
+    empty = join(())
+    tables = []
+    for x in ids:
+        table = RowTable({0: empty})
+        table.x, table.row_pieces, table.join, table.pieces = x, row_pieces, join, None
+        tables.append(table)
+    return tables
+
+
 def rows_to_rel(rows: Sequence[int], ids: Sequence[int]) -> Rel:
     """Pairs (ids[i], ids[j]) for every set bit j of rows[i]."""
-    pairs = []
-    for i, row in enumerate(rows):
-        x = ids[i]
-        while row:
-            low = row & -row
-            pairs.append((x, ids[low.bit_length() - 1]))
-            row ^= low
-    return frozenset(pairs)
+    return frozenset([(x, y) for x, row in zip(ids, rows) for y in pick_bits(row, ids)])
 
 
 def matrix_to_rel(a: BoolMatrix) -> Rel:

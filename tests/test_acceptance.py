@@ -184,24 +184,13 @@ def test_c6e_transitive_reduction_round_trip():
 
 
 def test_c7_bench_variants():
-    count_posets(5)  # fill the preorder-level cache so no variant pays for it
-    timings = {}
+    # Counts only: single runs of about 0.2 s cannot order the variants by
+    # time; `eventstruct bench` is where timings are compared.
     counts = set()
     for dedupe in ("naive", "late", "final"):
         for pivot in ("first", "heuristic"):
-            started = time.perf_counter()
             counts.add(count_event_structures_variant(5, dedupe=dedupe, pivot=pivot))
-            timings[(dedupe, pivot)] = time.perf_counter() - started
-
-    final_s = timings[("final", "heuristic")]
-    naive_s = timings[("naive", "heuristic")]
-    print(
-        f"[acceptance] C7 timings: n=5 dedupe-final {final_s:.2f}s vs "
-        f"dedupe-naive {naive_s:.2f}s "
-        f"({'final faster' if final_s <= naive_s else 'ordering NOT reproduced'})",
-        flush=True,
-    )
-    _report("C7 bench variants agree on counts (ordering reported above)", counts == {41099})
+    _report("C7 bench variants agree on counts", counts == {41099}, "6 variants at n=5")
 
 
 def test_c8_cli_contract(tmp_path):

@@ -13,6 +13,7 @@ from eventstruct.conflicts import (
     count_allowed_conflicts,
     generate_conflicts,
 )
+from eventstruct.es_enum import enumerate_event_structures
 from eventstruct.oracle import brute_force_conflicts
 from eventstruct.order_enum import enumerate_posets
 from eventstruct.relations import (
@@ -20,6 +21,7 @@ from eventstruct.relations import (
     minimal_elements,
     reflexive_transitive_closure,
     remove_element,
+    rows_to_rel,
 )
 
 CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -307,6 +309,23 @@ def test_large_sparse_ids():
         assert allowed_conflicts(_relabel(p, ids)) == expected
         assert count_allowed_conflicts(_relabel(p, ids)) == len(expected)
         assert choose_pivot(_relabel(p, ids)).pivot == ids[choose_pivot(p).pivot]
+
+
+def test_listed_conflicts_share_their_pairs():
+    # the 6-event antichain on sparse ids: 32,768 conflicts over 30 distinct pairs
+    ids = [3, 11, 17, 29, 42, 63]
+    p = frozenset((x, x) for x in ids)
+    rows, _ = conflicts._packed(p)
+    listed = allowed_conflicts(p)
+    assert listed == [rows_to_rel(c, ids) for c in conflicts._conflicts_packed(rows)]
+    assert len({id(pair) for c in listed for pair in c}) <= 36
+    # one extension step shares them too
+    extended = generate_conflicts(p, 3, frozenset({(11, 17), (17, 11)}))
+    assert len(extended) == 32
+    assert len({id(pair) for c in extended for pair in c}) <= 36
+    # and so does the whole stream of event structures
+    stream = list(enumerate_event_structures(3))
+    assert len({id(pair) for es in stream for pair in es.conflict}) <= 9
 
 
 @st.composite
