@@ -217,6 +217,8 @@ def row_tables(ids: Sequence[int], row_pieces: Callable, join: Callable) -> list
     empty = join(())
     tables = []
     for x in ids:
+        # Slots set here, not in an __init__: allowed_conflicts builds k
+        # tables per call, and a Python-level __init__ per row costs more.
         table = RowTable({0: empty})
         table.x, table.row_pieces, table.join, table.pieces = x, row_pieces, join, None
         tables.append(table)
