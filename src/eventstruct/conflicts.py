@@ -30,9 +30,9 @@ _packed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
-from operator import getitem
+from operator import and_, getitem
 from typing import Sequence
 
 from .relations import (
@@ -124,6 +124,8 @@ def allowed_conflicts(
     packed = _conflicts_packed(
         rows, heuristic=_heuristic(pivot), immediate_only=immediate_only
     )
+    if len(packed) == 1:
+        return [frozenset()]  # the empty conflict, always allowed, is the only one
     table = _pair_table(ids)
     return [_unpack_conflict(conf, table) for conf in packed]
 
@@ -140,12 +142,13 @@ def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
     the time grows about 3.5-fold with each chain (0.9 s at k = 12 and
     12 s at k = 14, CPython 3.11 on a 2-core host).
 
-    Counts are memoized on a relabeled copy of p (events sorted by
+    A poset with a maximum has one conflict and costs one AND per row.
+    Other counts are memoized on a relabeled copy of p (events sorted by
     up-set), for the 131,072 most recently used copies, about 230 bytes
-    each on 6 events: the 96,428 distinct copies of the posets on 7
-    events all fit.  A cache hit (any poset isomorphic to an earlier
-    one and sorted alike) costs the sort, the relabeling and one hash,
-    about 6 us on 6 events, and no count.
+    each on 6 events: the 91,604 distinct copies of the posets on 7
+    events without a maximum all fit.  A cache hit (any poset isomorphic
+    to an earlier one and sorted alike) costs the sort, the relabeling
+    and one hash, about 6 us on 6 events, and no count.
     """
     rows, _ = _packed(p)
     _heuristic(pivot)
@@ -169,10 +172,11 @@ def _heuristic(pivot: str) -> bool:
 # them for the bench (every level built, under each dedupe placement),
 # and generate_conflicts runs a single step.  _count_packed counts the
 # conflicts as up-sets of the disjoint-pair poset and shares no code with
-# the recursion, so each checks the other.  It relabels the poset first
-# (_relabeled) and memoizes the count on that copy (_count_upsets), so
-# the isomorphic posets that relabel alike are counted once: 4,824 counts
-# for the 130,023 posets on 6 events.
+# the recursion, so each checks the other.  A poset with a maximum has
+# one conflict; any other is relabeled (_relabeled) and its count memoized
+# on that copy (_count_upsets), so the isomorphic posets that relabel
+# alike are counted once: 4,467 counts for the 104,637 posets on 6 events
+# that have no maximum.
 # ---------------------------------------------------------------------------
 
 
@@ -347,6 +351,11 @@ def _relabeled(rows) -> tuple[int, ...]:
 
 def _count_packed(rows) -> int:
     """Number of allowed conflicts of rows, counted once per relabeled copy."""
+    if reduce(and_, rows, -1):
+        # Rows sharing a bit mean a maximum, so no pair is disjoint and the
+        # empty conflict is the only one (25,386 of the 130,023 posets on 6
+        # events), with no relabeling.
+        return 1
     return _count_upsets(_relabeled(rows))
 
 

@@ -9,7 +9,6 @@ across worker processes; enumeration stays sequential and deterministic
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 from contextlib import nullcontext
@@ -124,9 +123,13 @@ def _count(
         workers = min(workers, len(batches))
     count_batch = partial(_count_batch, count=count)
     structures = posets = 0
-    with (
-        multiprocessing.Pool(workers, _ignore_sigint) if workers > 1 else nullcontext()
-    ) as pool:
+    context = nullcontext()
+    if workers > 1:
+        # Imported only for a pool: it is about a quarter of `import eventstruct`.
+        import multiprocessing
+
+        context = multiprocessing.Pool(workers, _ignore_sigint)
+    with context as pool:
         mapper = map if pool is None else pool.imap_unordered
         for subtotal, size in mapper(count_batch, batches):
             structures += subtotal

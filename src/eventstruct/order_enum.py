@@ -48,50 +48,42 @@ class ExtensionPair:
             raise ValueError("alpha and beta must have the same length")
 
 
-def _closed_masks(constraints: list[int], k: int) -> list[int]:
-    """Masks m (ascending) such that every set bit b of m has constraints[b] <= m."""
-    out = []
-    for mask in range(1 << k):
-        t = mask
-        while t:
-            low = t & -t
-            if constraints[low.bit_length() - 1] & ~mask:
-                break
-            t ^= low
-        else:
-            out.append(mask)
-    return out
+def _closed_masks(generators) -> list[int]:
+    """Every union of the generators, 0 included, ascending.
 
-
-def _extension_groups(rows: RowTuple, k: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (alpha mask, valid beta masks) groups, alphas and betas ascending.
-
-    alpha ranges over column masks down-closed under the matrix, beta over
-    row masks up-closed under it; a pair is valid when beta is contained in
-    the intersection of the rows selected by alpha.
+    A preorder's up-sets are the unions of its rows, its down-sets those of its columns.
     """
-    ups = _closed_masks(list(rows), k)
-    full = (1 << k) - 1
-    for alpha in _closed_masks(columns(rows), k):
-        need = full
-        t = alpha
-        while t:
-            low = t & -t
-            need &= rows[low.bit_length() - 1]
-            t ^= low
-        yield alpha, [beta for beta in ups if not beta & ~need]
+    out = {0}
+    for g in generators:
+        out |= {u | g for u in out}
+    return sorted(out)
 
 
 def _extend_rows(rows: RowTuple, k: int) -> list[RowTuple]:
-    """All order-(k+1) reflexive transitive matrices whose top-left block is rows."""
+    """All order-(k+1) reflexive transitive matrices whose top-left block is rows.
+
+    Ascending down-sets alpha (the new column) and, per alpha, the ascending
+    up-sets beta (the new row) within need, the meet of the rows alpha selects.
+    """
     kbit = 1 << k
+    ups = _closed_masks(rows)
+    betas_by_need: dict[int, list[RowTuple]] = {}
     out = []
-    for alpha, betas in _extension_groups(rows, k):
-        if not betas:
-            continue
-        stem = tuple(row | kbit if (alpha >> i) & 1 else row for i, row in enumerate(rows))
-        for beta in betas:
-            out.append(stem + (beta | kbit,))
+    for alpha in _closed_masks(columns(rows)):
+        stem = list(rows)
+        need = kbit - 1
+        t = alpha
+        while t:
+            low = t & -t
+            i = low.bit_length() - 1
+            stem[i] |= kbit
+            need &= rows[i]
+            t ^= low
+        betas = betas_by_need.get(need)
+        if betas is None:
+            betas = betas_by_need[need] = [(beta | kbit,) for beta in ups if not beta & ~need]
+        stem = tuple(stem)
+        out += [stem + beta for beta in betas]
     return out
 
 
@@ -142,11 +134,13 @@ def valid_extensions(a: BoolMatrix) -> list[ExtensionPair]:
     r = matrix_to_rel(a)
     if not (is_reflexive_on(r, range(a.order)) and is_transitive(r)):
         raise ValueError("matrix is not a preorder (reflexive and transitive)")
-    out = []
-    for alpha, betas in _extension_groups(a.rows, a.order):
-        alpha_bools = _bools(alpha, a.order)
-        out.extend(ExtensionPair(alpha_bools, _bools(beta, a.order)) for beta in betas)
-    return out
+    k = a.order
+    # alpha is column k of each bordered matrix and beta its row k, both
+    # without the diagonal bit k, which _bools drops.
+    return [
+        ExtensionPair(_bools(columns(ext)[k], k), _bools(ext[k], k))
+        for ext in _extend_rows(a.rows, k)
+    ]
 
 
 def enumerate_preorders(n: int) -> list[BoolMatrix]:

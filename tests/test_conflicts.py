@@ -1,4 +1,6 @@
 import time
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,24 @@ def test_packed_count_matches_list_length_at_five():
         count = conflicts._count_packed(rows)
         for heuristic in (True, False):
             assert count == len(conflicts._conflicts_packed(rows, heuristic=heuristic))
+
+
+def test_posets_with_a_maximum_have_only_the_empty_conflict(monkeypatch):
+    # rows sharing a bit give a maximum, so no pair is disjoint; these
+    # posets need neither the relabeled copy nor a pair table
+    def unused(*args):
+        raise AssertionError("called for a poset with a maximum")
+
+    monkeypatch.setattr(conflicts, "_relabeled", unused)
+    monkeypatch.setattr(conflicts, "_pair_table", unused)
+    for n in range(1, 6):
+        with_maximum = [rows for rows in order_enum._poset_rows(n) if reduce(and_, rows)]
+        # one poset on the other n - 1 events per choice of the maximum
+        assert len(with_maximum) == n * len(list(order_enum._poset_rows(n - 1)))
+        for rows in with_maximum:
+            assert conflicts._count_packed(rows) == 1
+            assert conflicts._conflicts_packed(rows) == [(0,) * n]
+            assert allowed_conflicts(rows_to_rel(rows, range(n))) == [frozenset()]
 
 
 @pytest.mark.slow

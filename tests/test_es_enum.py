@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 
@@ -129,7 +130,7 @@ def test_no_pool_for_a_single_batch(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(es_enum.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert count_event_structures(4, workers=4) == 916
 
 
@@ -162,7 +163,7 @@ def test_workers_are_capped_at_the_cores(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(order_enum, "_CACHE_MAX_ORDER", 3)
-    monkeypatch.setattr(es_enum.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     assert count_event_structures(4, workers=10**6) == 916
     cores = os.cpu_count() or 1
     assert sizes == ([cores] if cores > 1 else [])

@@ -17,6 +17,7 @@ from eventstruct.order_enum import (
 )
 from eventstruct.relations import (
     BoolMatrix,
+    columns,
     field_of,
     is_partial_order,
     is_reflexive_on,
@@ -86,6 +87,49 @@ def test_valid_extensions_rejects_non_preorders():
             else:
                 with pytest.raises(ValueError):
                     valid_extensions(a)
+
+
+def _scanned_closed(constraints, k):
+    """Every mask of k bits, ascending, that holds constraints[b] for each of its bits b."""
+    return [
+        m for m in range(1 << k) if all(constraints[b] & ~m == 0 for b in range(k) if m >> b & 1)
+    ]
+
+
+def _scanned_pairs(rows, k):
+    """The (alpha, beta) masks of a preorder by a scan of all 2**k masks each way.
+
+    alpha must be down-closed, beta up-closed, and beta within the rows
+    that alpha selects; alphas ascending, then betas ascending.
+    """
+    ups = _scanned_closed(rows, k)
+    pairs = []
+    for alpha in _scanned_closed(columns(rows), k):
+        need = (1 << k) - 1
+        for i in range(k):
+            if alpha >> i & 1:
+                need &= rows[i]
+        pairs += [(alpha, beta) for beta in ups if not beta & ~need]
+    return pairs
+
+
+def test_extend_rows_matches_the_closed_mask_scan():
+    for k in range(5):
+        for rows in order_enum._level(k):
+            bordered = [
+                tuple(row | (alpha >> i & 1) << k for i, row in enumerate(rows)) + (beta | 1 << k,)
+                for alpha, beta in _scanned_pairs(rows, k)
+            ]
+            assert order_enum._extend_rows(rows, k) == bordered, rows
+
+
+def test_valid_extensions_list_the_scanned_pairs():
+    for k in range(5):
+        for rows in order_enum._level(k):
+            assert valid_extensions(BoolMatrix(k, rows)) == [
+                ExtensionPair(_bools(alpha, k), _bools(beta, k))
+                for alpha, beta in _scanned_pairs(rows, k)
+            ]
 
 
 def test_preorder_counts():
