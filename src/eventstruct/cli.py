@@ -346,8 +346,6 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _bench(args, report: IO[str] | None) -> int:
-    # Fill the preorder-level cache so the first variant is not charged for it.
-    order_enum.count_posets(args.n)
     results = []
     for dedupe in args.dedupe:
         for pivot in args.pivot:

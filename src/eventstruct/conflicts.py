@@ -190,9 +190,12 @@ def _packed(p: Rel) -> tuple[list[int], tuple[int, ...]]:
     # Looked up as a module attribute, which the benchmark's traced run wraps.
     if not is_partial_order(p):
         raise ValueError("relation is not a partial order")
-    ids = tuple(sorted(field_of(p)))
-    if ids and ids[0] < 0:
+    field = field_of(p)
+    # Every id, before sorting: a float passes a sign check, and mixed types do
+    # not sort.  type(x) is int also refuses bool, a subclass of int.
+    if any(type(x) is not int or x < 0 for x in field):
         raise ValueError("event ids must be natural numbers")
+    ids = tuple(sorted(field))
     index = {x: i for i, x in enumerate(ids)}
     rows = [0] * len(ids)
     for x, y in p:

@@ -24,6 +24,11 @@ CountFn = Callable[[Sequence[int]], int]  # conflicts of one poset's rows
 
 _BATCH_SIZE = 1024
 
+# Up to this n, _count lists the posets before counting them: 130,023
+# posets at n = 6 are worth holding for a progress total and a worker cap
+# by batches, but 6,129,859 at n = 7 are streamed.
+_LISTED_MAX_N = 6
+
 
 class CountRow(NamedTuple):
     n: int
@@ -110,14 +115,15 @@ def _count(
     """(event structures, posets) over {0..n-1}, counted batch by batch.
 
     count gives the conflicts of one poset's rows; None is the production
-    conflicts._count_packed.  Cached orders are listed up front, which
-    gives progress its total without a second pass; longer streams report
-    a total of None.
+    conflicts._count_packed.  Up to _LISTED_MAX_N the posets are listed
+    up front, which gives progress its total without a second pass and
+    caps the workers at the number of batches; longer streams report a
+    total of None.
     """
     batches: Iterable[list] = _batched(order_enum._poset_rows(n))
     total = None
     workers = min(workers, os.cpu_count() or 1)
-    if n <= order_enum._CACHE_MAX_ORDER:
+    if n <= _LISTED_MAX_N:
         batches = list(batches)
         total = sum(map(len, batches))
         workers = min(workers, len(batches))

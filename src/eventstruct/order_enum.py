@@ -9,13 +9,13 @@ point).  Extending every order-k matrix by every valid (alpha, beta)
 pair therefore enumerates each order-(k+1) preorder exactly once, with
 no duplicates by construction.
 
-Internally matrices are tuples of per-row int bitmasks; levels up to
-order 6 are cached so repeated count/enumerate calls share work.
+Internally matrices are tuples of per-row int bitmasks.  Every stream
+is built afresh, one parent at a time: the module keeps no level between
+calls.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,16 +24,6 @@ from .relations import (
 )
 
 RowTuple = tuple[int, ...]
-
-# Orders above this are streamed instead of cached (order 7 alone has
-# ~9.5M matrices; materializing them costs GBs of RAM).
-_CACHE_MAX_ORDER = 6
-
-# Preorder levels by order, bounded by _CACHE_MAX_ORDER: through order 6
-# they hold 216,859 row tuples, about 21 MB (tracemalloc, CPython 3.11).
-# Built under the lock, so threads never append a level twice.
-_levels: list[list[RowTuple]] = [[()]]
-_levels_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -87,24 +77,20 @@ def _extend_rows(rows: RowTuple, k: int) -> list[RowTuple]:
     return out
 
 
-def _level(n: int) -> list[RowTuple]:
-    """Materialized (and cached) list of all order-n preorder row tuples."""
-    with _levels_lock:
-        while len(_levels) <= n:
-            k = len(_levels) - 1
-            _levels.append([ext for rows in _levels[k] for ext in _extend_rows(rows, k)])
-        return _levels[n]
-
-
 def _rows_stream(n: int) -> Iterator[RowTuple]:
-    """Every order-n preorder row tuple: the one source of all streams."""
+    """Every order-n preorder row tuple: the one source of all streams.
+
+    Each order-n matrix extends exactly one order-(n-1) matrix, so the
+    stream extends its parents as they come and holds one list of
+    children per order.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= _CACHE_MAX_ORDER:
-        yield from _level(n)
-    else:
-        for rows in _rows_stream(n - 1):
-            yield from _extend_rows(rows, n - 1)
+    if n == 0:
+        yield ()
+        return
+    for rows in _rows_stream(n - 1):
+        yield from _extend_rows(rows, n - 1)
 
 
 def _antisymmetric_rows(rows: RowTuple) -> bool:

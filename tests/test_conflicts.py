@@ -118,16 +118,26 @@ def test_generate_conflicts_rejects_conflicts_not_allowed_on_the_reduced_poset()
 
 
 def test_negative_ids_are_refused():
-    p = frozenset({(-1, -1), (0, 0)})
-    for call in (
-        allowed_conflicts,
-        count_allowed_conflicts,
-        choose_pivot,
-        choose_pivot_first,
-        lambda q: generate_conflicts(q, -1, frozenset()),
-    ):
-        with pytest.raises(ValueError, match="natural numbers"):
-            call(p)
+    # each id is checked before the field is sorted, so floats, bools,
+    # strings and mixed types are refused as negative ids are
+    relations = (
+        {(-1, -1), (0, 0)},
+        {(0.5, 0.5)},
+        {("a", "a")},
+        {(1, 1), ("a", "a")},
+        {(True, True)},
+        {(2.0, 2.0), (2.0, 3.0), (3.0, 3.0)},
+    )
+    for p in map(frozenset, relations):
+        for call in (
+            allowed_conflicts,
+            count_allowed_conflicts,
+            choose_pivot,
+            choose_pivot_first,
+            lambda q: generate_conflicts(q, -1, frozenset()),
+        ):
+            with pytest.raises(ValueError, match="natural numbers"):
+                call(p)
 
 
 def test_generate_conflicts_matches_brute_force():

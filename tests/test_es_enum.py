@@ -135,15 +135,15 @@ def test_no_pool_for_a_single_batch(monkeypatch):
 
 
 def test_streamed_orders_count_without_a_total(monkeypatch):
-    # beyond the cache ceiling the posets are streamed, so progress has no total
-    monkeypatch.setattr(order_enum, "_CACHE_MAX_ORDER", 3)
+    # beyond the listing ceiling the posets are streamed, so progress has no total
+    monkeypatch.setattr(es_enum, "_LISTED_MAX_N", 3)
     seen = []
     assert count_event_structures(4, workers=2, progress=lambda *args: seen.append(args)) == 916
     assert seen == [(219, None)]
 
 
 def test_workers_are_capped_at_the_cores(monkeypatch):
-    # streamed orders (past the lowered cache ceiling) skip the batch cap,
+    # streamed orders (past the lowered listing ceiling) skip the batch cap,
     # so only the core cap keeps a huge request from starting that many
     sizes = []
     initializers = []
@@ -162,7 +162,7 @@ def test_workers_are_capped_at_the_cores(monkeypatch):
         def imap_unordered(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(order_enum, "_CACHE_MAX_ORDER", 3)
+    monkeypatch.setattr(es_enum, "_LISTED_MAX_N", 3)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     assert count_event_structures(4, workers=10**6) == 916
     cores = os.cpu_count() or 1

@@ -1,5 +1,6 @@
-import threading
-import time
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -115,7 +116,7 @@ def _scanned_pairs(rows, k):
 
 def test_extend_rows_matches_the_closed_mask_scan():
     for k in range(5):
-        for rows in order_enum._level(k):
+        for rows in order_enum._rows_stream(k):
             bordered = [
                 tuple(row | (alpha >> i & 1) << k for i, row in enumerate(rows)) + (beta | 1 << k,)
                 for alpha, beta in _scanned_pairs(rows, k)
@@ -125,7 +126,7 @@ def test_extend_rows_matches_the_closed_mask_scan():
 
 def test_valid_extensions_list_the_scanned_pairs():
     for k in range(5):
-        for rows in order_enum._level(k):
+        for rows in order_enum._rows_stream(k):
             assert valid_extensions(BoolMatrix(k, rows)) == [
                 ExtensionPair(_bools(alpha, k), _bools(beta, k))
                 for alpha, beta in _scanned_pairs(rows, k)
@@ -239,37 +240,28 @@ def test_enumeration_order_is_deterministic():
     assert first == second
 
 
-def test_level_cache_is_built_once_under_threads(monkeypatch):
-    # two threads fill a cold cache at once; a 1 ms pause per extension
-    # makes them overlap in every level build
-    extend = order_enum._extend_rows
-
-    def slow_extend(rows, k):
-        time.sleep(0.001)
-        return extend(rows, k)
-
-    monkeypatch.setattr(order_enum, "_levels", [[()]])
-    monkeypatch.setattr(order_enum, "_extend_rows", slow_extend)
-    results = []
-
-    def count():
-        try:
-            results.append(count_posets(4))
-        except Exception as exc:  # the race shows as an IndexError
-            results.append(exc)
-
-    threads = [threading.Thread(target=count) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert results == [219, 219]
-    assert [len(level) for level in order_enum._levels] == [1, 1, 4, 29, 355]
+def test_streams_keep_nothing_between_calls():
+    # a fresh interpreter, so no earlier test has filled anything first
+    script = (
+        "import gc, tracemalloc\n"
+        "from eventstruct import order_enum\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "assert order_enum.count_posets(5) == 4231\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(order_enum.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    # a cache of the levels through order 5 would retain about 630 KB
+    assert int(result.stdout) < 16 * 1024
 
 
-def test_negative_n_is_refused(monkeypatch):
-    # before and after level 4 is cached, since _level(n) indexes the cache
+def test_negative_n_is_refused():
     calls = (
         count_preorders,
         count_posets,
@@ -281,13 +273,9 @@ def test_negative_n_is_refused(monkeypatch):
         es_enum.count_event_structures_variant,
         lambda n: list(es_enum.enumerate_event_structures(n)),
     )
-    monkeypatch.setattr(order_enum, "_levels", [[()]])
-    for warm in (False, True):
-        if warm:
-            assert count_preorders(4) == 355
-        for call in calls:
-            with pytest.raises(ValueError, match="n must be >= 0"):
-                call(-1)
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call(-1)
 
 
 @pytest.mark.slow
