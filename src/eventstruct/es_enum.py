@@ -71,10 +71,12 @@ def count_event_structures(
     exact and independent of scheduling.  No more workers start than
     os.cpu_count(), and for n <= 6 no more than there are batches of
     1,024 posets (one up to n = 4).  Workers ignore SIGINT, so Ctrl-C
-    reaches only the calling process.
+    reaches only the calling process.  Raises ValueError, before any
+    poset is listed, unless workers is an int >= 1 (a bool is refused).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    # type() is not isinstance(): bool is a subclass of int.
+    if type(workers) is not int or workers < 1:
+        raise ValueError("workers must be an int >= 1")
     return _count(n, workers=workers, progress=progress)[0]
 
 
@@ -97,7 +99,12 @@ def count_event_structures_variant(
 
 
 def counts_up_to(max_n: int) -> CountTable:
-    """Preorder, poset and event-structure counts for every n in 0..max_n."""
+    """Preorder, poset and event-structure counts for every n in 0..max_n.
+
+    Raises ValueError on a negative max_n.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     out = []
     for k in range(max_n + 1):
         structures, posets = _count(k)

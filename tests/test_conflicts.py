@@ -1,3 +1,4 @@
+import random
 import time
 from functools import reduce
 from operator import and_
@@ -257,26 +258,63 @@ def test_upset_count_matches_the_recursion_at_six():
     assert upsets == pivot == 3528258
 
 
+def _permuted(rows, perm):
+    """The poset rows with event e renamed perm[e]."""
+    out = [0] * len(rows)
+    for e, row in enumerate(rows):
+        out[perm[e]] = sum(1 << perm[j] for j in range(len(rows)) if row >> j & 1)
+    return out
+
+
+def _random_poset(rng, n):
+    """Rows of a random poset on n events: a closed random DAG, its events shuffled."""
+    rows = [0] * n
+    for i in reversed(range(n)):
+        rows[i] = 1 << i
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                rows[i] |= rows[j]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return _permuted(rows, perm)
+
+
 def test_relabeled_copy_is_the_poset_in_an_extending_order():
-    for n in range(6):
-        for rows in order_enum._poset_rows(n):
-            key = conflicts._relabeled(rows)
-            # sigma lists the events by row, descending
-            sigma = sorted(range(n), key=rows.__getitem__, reverse=True)
-            assert key == tuple(
-                sum(1 << j for j in range(n) if rows[sigma[i]] >> sigma[j] & 1)
-                for i in range(n)
-            )
-            # index order extends the copy: no set bit j of key[i] has j < i
-            assert all(key[i] & (1 << i) - 1 == 0 for i in range(n)), rows
+    rng = random.Random(20261019)
+    n40 = 40
+    chain = _permuted([(1 << n40) - (1 << i) for i in range(n40)], rng.sample(range(n40), n40))
+    antichain = [1 << i for i in range(n40)]
+    posets = [rows for n in range(6) for rows in order_enum._poset_rows(n)]
+    posets += [_random_poset(rng, n) for n in range(7, 13) for _ in range(20)]
+    for rows in posets + [chain, antichain]:
+        n = len(rows)
+        key = conflicts._relabeled(rows)
+        # sigma lists the events by row, descending
+        sigma = sorted(range(n), key=rows.__getitem__, reverse=True)
+        assert key == tuple(
+            sum(1 << j for j in range(n) if rows[sigma[i]] >> sigma[j] & 1)
+            for i in range(n)
+        )
+        # index order extends the copy: no set bit j of key[i] has j < i
+        assert all(key[i] & (1 << i) - 1 == 0 for i in range(n)), rows
+    # one call on a new order fills mask 0 and at most one entry per row
+    shuffled = _permuted(antichain, rng.sample(range(n40), n40))
+    order = tuple(sorted(range(n40), key=shuffled.__getitem__, reverse=True))
+    conflicts._relabel_table.cache_clear()
+    conflicts._relabeled(shuffled)
+    assert len(conflicts._relabel_table(order)) <= n40 + 1
 
 
 def test_count_is_memoized_on_the_relabeled_copy():
     conflicts._count_upsets.cache_clear()
+    conflicts._relabel_table.cache_clear()
     posets = list(order_enum._poset_rows(5))
+    assert len(posets) == 4231
     assert sum(map(conflicts._count_packed, posets)) == 41099
     # isomorphic posets that relabel alike share one count
     assert conflicts._count_upsets.cache_info().misses < len(posets) / 4
+    # and the relabelings share one table per event order: at most 5! of them
+    assert conflicts._relabel_table.cache_info().misses <= 120
 
 
 def test_bench_variants_match_the_count_per_poset():

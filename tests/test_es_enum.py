@@ -79,6 +79,10 @@ def test_parallel_count_agrees_with_sequential():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         count_event_structures(2, workers=0)
+    # refused before any poset is listed, bool included
+    for workers in (1.5, "2", True):
+        with pytest.raises(ValueError):
+            count_event_structures(5, workers=workers)
 
 
 def test_variants_agree():
@@ -102,6 +106,8 @@ def test_counts_up_to():
     assert table.rows[4] == (4, 355, 219, 916)
     assert [row.n for row in table.rows] == list(range(5))
     assert all(min(row[1:]) >= 1 for row in table.rows)
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        counts_up_to(-1)
 
 
 def test_progress_callback_sees_all_posets():
