@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "worker processes for es counting (default: available cores); "
-            "capped at the number of cores, and for n <= 6 at the number "
-            "of 1,024-poset batches"
+            "capped at the number of cores and at the number of batches of "
+            "1,024 order-(n-1) preorders, so n <= 5 counts in one process"
         ),
     )
     p_count.set_defaults(func=_cmd_count)
@@ -136,11 +136,8 @@ def _progress(n: int):
     if n < PROGRESS_MIN_N:
         return None
 
-    def report(done: int, total: int | None) -> None:
-        if total is None:
-            sys.stderr.write(f"progress: {done} posets processed\n")
-        else:
-            sys.stderr.write(f"progress: {done}/{total} posets processed\n")
+    def report(done: int, total: int) -> None:
+        sys.stderr.write(f"progress: {done}/{total} order-{n - 1} preorders extended\n")
         sys.stderr.flush()
 
     return report

@@ -19,15 +19,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import conflicts, order_enum
 from .relations import BoolMatrix, EventStructure, matrix_to_rel
 
-ProgressFn = Callable[[int, "int | None"], None]
+ProgressFn = Callable[[int, int], None]
 CountFn = Callable[[Sequence[int]], int]  # conflicts of one poset's rows
 
-_BATCH_SIZE = 1024
-
-# Up to this n, _count lists the posets before counting them: 130,023
-# posets at n = 6 are worth holding for a progress total and a worker cap
-# by batches, but 6,129,859 at n = 7 are streamed.
-_LISTED_MAX_N = 6
+_BATCH_SIZE = 1024  # order-(n-1) parents per batch
 
 
 class CountRow(NamedTuple):
@@ -46,6 +41,8 @@ class CountTable:
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
     """Yield every event structure over {0..n-1}, without repetition."""
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
     # One table for the whole stream: every poset's events are 0..n-1.
     table = conflicts._pair_table(range(n))
     for rows, packed in _by_poset(order_enum._poset_rows(n)):
@@ -67,12 +64,13 @@ def count_event_structures(
 ) -> int:
     """Number of event structures over {0..n-1}.
 
-    workers > 1 partitions the poset list across processes; the sum is
-    exact and independent of scheduling.  No more workers start than
-    os.cpu_count(), and for n <= 6 no more than there are batches of
-    1,024 posets (one up to n = 4).  Workers ignore SIGINT, so Ctrl-C
-    reaches only the calling process.  Raises ValueError, before any
-    poset is listed, unless workers is an int >= 1 (a bool is refused).
+    workers > 1 splits the order-(n-1) preorders into batches of 1,024
+    across processes, each extending its own batches; the sum is exact
+    and independent of scheduling.  No more workers start than
+    os.cpu_count() or than there are batches (one up to n = 5).  Workers
+    ignore SIGINT, so Ctrl-C reaches only the calling process.  Raises
+    ValueError, before any preorder is listed, unless n is an int >= 0
+    and workers an int >= 1 (a bool is refused for either).
     """
     # type() is not isinstance(): bool is a subclass of int.
     if type(workers) is not int or workers < 1:
@@ -101,10 +99,10 @@ def count_event_structures_variant(
 def counts_up_to(max_n: int) -> CountTable:
     """Preorder, poset and event-structure counts for every n in 0..max_n.
 
-    Raises ValueError on a negative max_n.
+    Raises ValueError unless max_n is an int >= 0 (a bool is refused).
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    if type(max_n) is not int or max_n < 0:
+        raise ValueError("max_n must be an int >= 0")
     out = []
     for k in range(max_n + 1):
         structures, posets = _count(k)
@@ -122,20 +120,19 @@ def _count(
     """(event structures, posets) over {0..n-1}, counted batch by batch.
 
     count gives the conflicts of one poset's rows; None is the production
-    conflicts._count_packed.  Up to _LISTED_MAX_N the posets are listed
-    up front, which gives progress its total without a second pass and
-    caps the workers at the number of batches; longer streams report a
-    total of None.
+    conflicts._count_packed.  Every order-n poset extends one order-(n-1)
+    preorder, so the process that counts a batch of those parents extends
+    it; progress sees (parents done, parents in total).
     """
-    batches: Iterable[list] = _batched(order_enum._poset_rows(n))
-    total = None
-    workers = min(workers, os.cpu_count() or 1)
-    if n <= _LISTED_MAX_N:
-        batches = list(batches)
-        total = sum(map(len, batches))
-        workers = min(workers, len(batches))
-    count_batch = partial(_count_batch, count=count)
-    structures = posets = 0
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
+    if n == 0:  # no parent order: the one poset () is counted directly
+        return (count or conflicts._count_packed)(()), 1
+    parents = list(order_enum._rows_stream(n - 1))
+    batches = [parents[i:i + _BATCH_SIZE] for i in range(0, len(parents), _BATCH_SIZE)]
+    workers = min(workers, os.cpu_count() or 1, len(batches))
+    count_batch = partial(_count_batch, k=n - 1, count=count)
+    structures = posets = done = 0
     context = nullcontext()
     if workers > 1:
         # Imported only for a pool: it is about a quarter of `import eventstruct`.
@@ -144,11 +141,12 @@ def _count(
         context = multiprocessing.Pool(workers, _ignore_sigint)
     with context as pool:
         mapper = map if pool is None else pool.imap_unordered
-        for subtotal, size in mapper(count_batch, batches):
+        for subtotal, size, extended in mapper(count_batch, batches):
             structures += subtotal
             posets += size
+            done += extended
             if progress is not None:
-                progress(posets, total)
+                progress(done, len(parents))
     return structures, posets
 
 
@@ -156,20 +154,16 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _count_batch(batch: list, *, count: CountFn | None) -> tuple[int, int]:
+def _count_batch(parents: list, *, k: int, count: CountFn | None) -> tuple[int, int, int]:
+    """(event structures, posets, parents) over the posets that extend the order-k parents."""
     # Looked up per batch, in the process that counts it, so the module
-    # attribute is the one that runs (the benchmark's traced run wraps it).
+    # attributes are the ones that run (the benchmark's traced run wraps them).
     if count is None:
         count = conflicts._count_packed
-    return sum(map(count, batch)), len(batch)
-
-
-def _batched(items: Iterable) -> Iterator[list]:
-    batch = []
-    for item in items:
-        batch.append(item)
-        if len(batch) == _BATCH_SIZE:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    extend, antisymmetric = order_enum._extend_rows, order_enum._antisymmetric_rows
+    structures = posets = 0
+    for parent in parents:
+        children = list(filter(antisymmetric, extend(parent, k)))
+        structures += sum(map(count, children))
+        posets += len(children)
+    return structures, posets, len(parents)

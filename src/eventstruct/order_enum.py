@@ -84,8 +84,8 @@ def _rows_stream(n: int) -> Iterator[RowTuple]:
     stream extends its parents as they come and holds one list of
     children per order.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if type(n) is not int or n < 0:  # type(): bool is a subclass of int
+        raise ValueError("n must be an int >= 0")
     if n == 0:
         yield ()
         return

@@ -27,6 +27,10 @@ def test_count():
     assert run_cli("count", "preorders", "--n", "0").stdout == "1\n"
     assert run_cli("count", "posets", "--n", "3").stdout == "19\n"
     assert run_cli("count", "es", "--n", "3", "--workers", "2").stdout == "41\n"
+    # n = 5 is one batch of the 355 order-4 preorders, so one progress line
+    result = run_cli("count", "es", "--n", "5")
+    assert (result.returncode, result.stdout) == (0, "41099\n")
+    assert result.stderr == "progress: 355/355 order-4 preorders extended\n"
 
 
 def test_count_usage_errors():
@@ -269,6 +273,8 @@ def _fail_count(rows):
     reason="only forked workers inherit the patched count",
 )
 def test_worker_failure_is_one_stderr_line(monkeypatch, capsys):
+    # batches of 64 parents split the 355 order-4 preorders, so n = 5 uses the pool
+    monkeypatch.setattr(es_enum, "_BATCH_SIZE", 64)
     monkeypatch.setattr(conflicts, "_count_packed", _fail_count)
     code = cli.main(["count", "es", "--n", "5", "--workers", "2"])
     captured = capsys.readouterr()

@@ -79,8 +79,8 @@ def test_parallel_count_agrees_with_sequential():
 def test_workers_must_be_positive(monkeypatch):
     with pytest.raises(ValueError):
         count_event_structures(2, workers=0)
-    # refused before any poset is listed, bool included
-    monkeypatch.setattr(order_enum, "_poset_rows", None)
+    # refused before any preorder is listed, bool included
+    monkeypatch.setattr(order_enum, "_rows_stream", None)
     for workers in (1.5, "2", True):
         with pytest.raises(ValueError, match="workers must be an int >= 1"):
             count_event_structures(5, workers=workers)
@@ -107,14 +107,16 @@ def test_counts_up_to():
     assert table.rows[4] == (4, 355, 219, 916)
     assert [row.n for row in table.rows] == list(range(5))
     assert all(min(row[1:]) >= 1 for row in table.rows)
-    with pytest.raises(ValueError, match="max_n must be >= 0"):
-        counts_up_to(-1)
+    for max_n in (-1, 2.5, "3", True):
+        with pytest.raises(ValueError, match="max_n must be an int >= 0"):
+            counts_up_to(max_n)
 
 
-def test_progress_callback_sees_all_posets():
+def test_progress_callback_sees_all_parents():
+    # progress counts the order-3 preorders that the order-4 posets extend
     seen = []
     count_event_structures(4, progress=lambda done, total: seen.append((done, total)))
-    assert seen[-1] == (219, 219)
+    assert seen[-1] == (29, 29)
 
 
 def test_progress_total_costs_no_second_filter_pass(monkeypatch):
@@ -130,7 +132,7 @@ def test_progress_total_costs_no_second_filter_pass(monkeypatch):
     seen = []
     assert count_event_structures(5, progress=lambda *args: seen.append(args)) == 41099
     assert calls == 6942  # one filter call per preorder over 5 events
-    assert seen[-1] == (4231, 4231)
+    assert seen[-1] == (355, 355)
 
 
 def test_no_pool_for_a_single_batch(monkeypatch):
@@ -141,19 +143,12 @@ def test_no_pool_for_a_single_batch(monkeypatch):
     assert count_event_structures(4, workers=4) == 916
 
 
-def test_streamed_orders_count_without_a_total(monkeypatch):
-    # beyond the listing ceiling the posets are streamed, so progress has no total
-    monkeypatch.setattr(es_enum, "_LISTED_MAX_N", 3)
-    seen = []
-    assert count_event_structures(4, workers=2, progress=lambda *args: seen.append(args)) == 916
-    assert seen == [(219, None)]
-
-
 def test_workers_are_capped_at_the_cores(monkeypatch):
-    # streamed orders (past the lowered listing ceiling) skip the batch cap,
-    # so only the core cap keeps a huge request from starting that many
+    # batches of 4 parents give 8 batches at n = 4, so only the core cap
+    # keeps a huge request from starting that many
     sizes = []
     initializers = []
+    batches = []
 
     class FakePool:
         def __init__(self, processes, initializer=None):
@@ -167,13 +162,18 @@ def test_workers_are_capped_at_the_cores(monkeypatch):
             return False
 
         def imap_unordered(self, fn, items):
-            return map(fn, items)
+            batches.extend(items)
+            return map(fn, batches)
 
-    monkeypatch.setattr(es_enum, "_LISTED_MAX_N", 3)
+    monkeypatch.setattr(es_enum, "_BATCH_SIZE", 4)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     assert count_event_structures(4, workers=10**6) == 916
     cores = os.cpu_count() or 1
     assert sizes == ([cores] if cores > 1 else [])
+    if cores > 1:
+        # the workers get the order-3 preorders as parents, not the posets
+        assert len(batches) == 8
+        assert [rows for batch in batches for rows in batch] == list(order_enum._rows_stream(3))
     # workers ignore Ctrl-C; only the parent reports it
     assert all(init is es_enum._ignore_sigint for init in initializers)
     handler = signal.getsignal(signal.SIGINT)

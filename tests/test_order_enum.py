@@ -274,8 +274,9 @@ def test_negative_n_is_refused():
         lambda n: list(es_enum.enumerate_event_structures(n)),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            call(-1)
+        for n in (-1, 2.5, "3", True):
+            with pytest.raises(ValueError, match="n must be an int >= 0"):
+                call(n)
 
 
 @pytest.mark.slow
