@@ -16,9 +16,9 @@ from operator import getitem
 from typing import IO, Callable
 
 from . import conflicts, es_enum, oracle, order_enum
-from .relations import (
-    RowTable, covering_relation, matrix_to_rel, rel_to_matrix, row_tables, rows_to_rel,
-)
+from .relations import RowTable, cover_rows, matrix_to_rel, row_tables
+# Not called here: perfbench/tracer.py wraps cli.covering_relation by name.
+from .relations import covering_relation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,8 +217,7 @@ def _emit(args, out: IO[str]) -> None:
             if kind != "preorders":
                 # A preorder may contain cycles, so it draws every arc as-is;
                 # an order draws its transitive reduction.
-                cover = covering_relation(rows_to_rel(rows, range(n)))
-                rows = rel_to_matrix(cover, n).rows
+                rows = cover_rows(rows)
             head = vertices + "".join(map(getitem, arcs, rows))
             for conf in confs:
                 dashes = "".join(map(getitem, dashed, conf))

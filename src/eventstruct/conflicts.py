@@ -36,8 +36,8 @@ from operator import and_, getitem
 from typing import Sequence
 
 from .relations import (
-    Rel, RowTable, columns, field_of, is_event_structure, is_partial_order, remove_element,
-    row_tables,
+    Rel, RowTable, columns, cover_rows, field_of, is_event_structure, is_partial_order,
+    remove_element, row_tables,
 )
 
 
@@ -75,7 +75,7 @@ def _choose(p: Rel, *, heuristic: bool) -> PivotResult:
     rows, ids = _packed(p)
     if not rows:
         return PivotResult(None, p)
-    m = ids[_pivot_packed(rows, columns(rows), (1 << len(rows)) - 1, heuristic)[0]]
+    m = ids[_chain(rows, heuristic, True)[-1][0]]  # the first pivot
     return PivotResult(m, remove_element(p, m))
 
 
@@ -100,8 +100,7 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
     conf = [0] * len(rows)
     for x, y in c:
         conf[index[x]] |= 1 << index[y]
-    full = (1 << len(rows)) - 1
-    step = _step(rows, full, (k, *_successors(rows, k, full)), immediate_only)
+    step = _step(rows, cover_rows(rows), (1 << len(rows)) - 1, k, immediate_only)
     table = _pair_table(ids)
     return [_unpack_conflict(ext, table) for ext in _grow([tuple(conf)], [step])]
 
@@ -175,16 +174,19 @@ def _heuristic(pivot: str) -> bool:
 # (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
 # bitmask rows over the same indices.
 #
-# _chain fixes the pivot steps (_step), and _grow is the one level loop
-# over them: _conflicts_packed lists the conflicts, _count_variant counts
-# them for the bench (every level built, under each dedupe placement),
-# and generate_conflicts runs a single step.  _count_packed counts the
-# conflicts as up-sets of the disjoint-pair poset and shares no code with
-# the recursion, so each checks the other.  A poset with a maximum has
-# one conflict; any other is relabeled (_relabeled, through one lazily
-# filled table per event order, _relabel_table) and its count memoized on
-# that copy (_count_upsets), so the isomorphic posets that relabel alike
-# are counted once: 4,467 counts and 600 tables for the 104,637 posets on
+# _chain fixes the pivot steps (_step) from one cover pass per poset
+# (relations.cover_rows), and _grow is the one level loop over them: it
+# keeps each conflict as its own Y = {} extension and builds the Ys once
+# per step whose pivot has no strict successor.  _conflicts_packed lists
+# the conflicts, _count_variant counts them for the bench (every level
+# built, under each dedupe placement), and generate_conflicts runs a
+# single step.  _count_packed counts the conflicts as up-sets of the
+# disjoint-pair poset and shares no code with the recursion, so each
+# checks the other.  A poset with a maximum has one conflict; any other
+# is relabeled (_relabeled, through one lazily filled table per event
+# order, _relabel_table) and its count memoized on that copy
+# (_count_upsets), so the isomorphic posets that relabel alike are
+# counted once: 4,467 counts and 600 tables for the 104,637 posets on
 # 6 events that have no maximum.
 # ---------------------------------------------------------------------------
 
@@ -231,61 +233,61 @@ def _unpack_conflict(conf: Sequence[int], table: list[RowTable]) -> Rel:
     return frozenset().union(*map(getitem, table, conf))
 
 
-def _pivot_packed(rows, cols, s: int, heuristic: bool):
-    """Pivot for the sub-poset on mask s: (m, strict successor mask, immediate mask)."""
-    best = None
-    best_count = -1
-    t = s
-    while t:
-        low = t & -t
-        t ^= low
-        m = low.bit_length() - 1
-        if cols[m] & s != low:
-            continue  # m has a strict predecessor in s
-        succ, imm = _successors(rows, m, s)
-        if not heuristic:
-            return m, succ, imm
-        count = imm.bit_count()
-        if count > best_count:
-            best, best_count = (m, succ, imm), count
-    return best
-
-
-def _successors(rows, m: int, s: int) -> tuple[int, int]:
-    """Masks of m's strict successors within s and of the immediate ones among them."""
-    succ = rows[m] & s & ~(1 << m)
-    reachable = 0
-    u = succ
-    while u:
-        low = u & -u
-        reachable |= rows[low.bit_length() - 1] & ~low
-        u ^= low
-    return succ, succ & ~reachable
-
-
-def _step(rows, s: int, pivot, immediate_only: bool) -> tuple:
-    """Step (m, base_succ, s1, imgs) adding the pivot (m, succ, imm) to s1 = s - {m}.
+def _step(rows, covers, s: int, m: int, immediate_only: bool) -> tuple:
+    """Step (m, base_succ, s1, imgs) adding m, minimal in the up-set s, to s1 = s - {m}.
 
     imgs[x] is row x within s1.  The base meets the conflict rows of
-    base_succ, which is 0 exactly when m has no strict successor in s
-    (those always include an immediate one).
+    base_succ: m's immediate successors (covers[m]), or with
+    immediate_only=False all its strict ones.  Either is 0 exactly when
+    m has no strict successor.
     """
-    m, succ, imm = pivot
     s1 = s & ~(1 << m)
-    return m, imm if immediate_only else succ, s1, [row & s1 for row in rows]
+    base_succ = covers[m] if immediate_only else rows[m] & s1
+    return m, base_succ, s1, [row & s1 for row in rows]
 
 
 def _chain(rows, heuristic: bool, immediate_only: bool) -> list[tuple]:
-    """Pivot steps (see _step), last pivot first."""
+    """Pivot steps (see _step), last pivot first.
+
+    Each step removes a minimal element of the events s still left, so s
+    stays an up-set, and an element of s keeps all its successors in s:
+    one cover pass (cover_rows) serves every step.  The pivot is the
+    first element of s in one fixed order that is minimal in s: most
+    immediate successors first, smallest index on ties, or by index
+    alone if not heuristic.
+    """
     cols = columns(rows)
+    covers = cover_rows(rows)
+    order = list(range(len(rows)))
+    if heuristic:
+        order.sort(key=lambda m: -covers[m].bit_count())  # stable: ties keep index order
     chain = []
     s = (1 << len(rows)) - 1
     while s:
-        step = _step(rows, s, _pivot_packed(rows, cols, s, heuristic), immediate_only)
+        for m in order:
+            if cols[m] & s == 1 << m:
+                break  # m is in s, and no other event of s is below it
+        step = _step(rows, covers, s, m, immediate_only)
         chain.append(step)
         s = step[2]
     chain.reverse()
     return chain
+
+
+def _images(base: int, imgs) -> list[int]:
+    """Every nonempty Y: the union of imgs[x] over a nonempty subset of base.
+
+    Listed by subset, as binary counting over the bits of base, so a Y
+    may repeat.
+    """
+    ys: list[int] = []
+    u = base
+    while u:
+        low = u & -u
+        im = imgs[low.bit_length() - 1]
+        ys += [im, *[y | im for y in ys]]
+        u ^= low
+    return ys
 
 
 def _grow(confs: list[tuple[int, ...]], steps, unique=dict.fromkeys) -> list:
@@ -293,28 +295,28 @@ def _grow(confs: list[tuple[int, ...]], steps, unique=dict.fromkeys) -> list:
 
     unique removes the repeated Ys of one conflict; distinct Ys give
     distinct extensions, so with the default no level has duplicates.
+    Y = {} comes first and extends a conflict to itself, which is kept
+    as it is.  A step whose pivot has no strict successor (base_succ 0)
+    has the base s1 for every conflict, so its Ys are built once.
     """
     for m, base_succ, s1, imgs in steps:
         mbit = 1 << m
+        shared = None if base_succ else list(unique(_images(s1, imgs)))
         out = []
         for c in confs:
-            if base_succ:
+            out.append(c)  # Y = {}
+            ys = shared
+            if ys is None:
                 base = -1
                 u = base_succ
                 while u:
                     l2 = u & -u
                     base &= c[l2.bit_length() - 1]
                     u ^= l2
-            else:
-                base = s1
-            ys = [0]
-            u = base
-            while u:
-                l2 = u & -u
-                im = imgs[l2.bit_length() - 1]
-                ys += [y | im for y in ys]
-                u ^= l2
-            for y in unique(ys):
+                if not base:
+                    continue
+                ys = unique(_images(base, imgs))
+            for y in ys:
                 ext = list(c)
                 ext[m] = y
                 v = y

@@ -184,6 +184,25 @@ def columns(rows: Sequence[int]) -> list[int]:
     return cols
 
 
+def cover_rows(rows: Sequence[int]) -> list[int]:
+    """Transitive reduction of the packed partial order rows: row i = i's immediate successors.
+
+    An immediate successor of i is a strict one that no other strict
+    successor of i lies below.
+    """
+    covers = []
+    for i, row in enumerate(rows):
+        succ = row & ~(1 << i)
+        above = 0  # the events strictly above some strict successor of i
+        u = succ
+        while u:
+            low = u & -u
+            above |= rows[low.bit_length() - 1] & ~low
+            u ^= low
+        covers.append(succ & ~above)
+    return covers
+
+
 def pick_bits(row: int, items: Sequence) -> list:
     """items[j] for every set bit j of row, in increasing j."""
     picked = []

@@ -57,7 +57,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name} failed{suffix}"
 
 
-def test_c1_count_fixtures_within_budget():
+def test_c1_count_fixtures_within_budget(order_six_listed):
     started = time.perf_counter()
     preorders = [count_preorders(n) for n in range(7)]
     posets = [count_posets(n) for n in range(7)]

@@ -4,12 +4,14 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from eventstruct import cli, conflicts, es_enum
+from eventstruct import cli, conflicts, es_enum, order_enum
+from eventstruct.relations import covering_relation, rows_to_rel
 
 BASE = [sys.executable, "-m", "eventstruct"]
 
@@ -215,17 +217,19 @@ def _enumerate_args(fmt: str, canonical: bool) -> argparse.Namespace:
     return argparse.Namespace(kind="es", n=4, format=fmt, canonical=canonical)
 
 
-def test_dot_reduces_each_poset_once(monkeypatch):
-    calls = []
-    reduce = cli.covering_relation
-
-    def counted(p):
-        calls.append(p)
-        return reduce(p)
-
-    monkeypatch.setattr(cli, "covering_relation", counted)
-    cli._emit(_enumerate_args("dot", False), _Writes(len))
-    assert len(calls) == 219  # the posets at n = 4, not the 916 structures
+def test_dot_arcs_are_the_covering_relation():
+    # The solid arcs of each poset's graph are its transitive reduction,
+    # with the pair-set covering_relation as the reference.
+    arc = re.compile(r"^  (\d+) -> (\d+);$", re.MULTILINE)
+    for n in range(6):
+        out = io.StringIO()
+        cli._emit(argparse.Namespace(kind="posets", n=n, format="dot", canonical=False), out)
+        graphs = out.getvalue().split("digraph ")[1:]
+        posets = list(order_enum._poset_rows(n))
+        assert len(graphs) == len(posets)
+        for graph, rows in zip(graphs, posets):
+            arcs = {(int(x), int(y)) for x, y in arc.findall(graph)}
+            assert arcs == covering_relation(rows_to_rel(rows, range(n))), rows
 
 
 def test_canonical_streams_from_the_first_poset(monkeypatch):

@@ -332,6 +332,101 @@ def test_count_variant_rejects_unknown_mode():
         conflicts._count_variant([], heuristic=True, dedupe="bogus")
 
 
+def _steps_by_rescan(rows, heuristic, immediate_only):
+    """Reference for _chain: at every step, each minimal candidate's strict
+    and immediate successors are found again within the events left."""
+    k = len(rows)
+    cols = [sum(1 << i for i in range(k) if rows[i] >> j & 1) for j in range(k)]
+    steps = []
+    s = (1 << k) - 1
+    while s:
+        best = None
+        for m in range(k):
+            if cols[m] & s != 1 << m:
+                continue  # m is gone or has a strict predecessor left
+            succ = rows[m] & s & ~(1 << m)
+            above = 0
+            for x in range(k):
+                if succ >> x & 1:
+                    above |= rows[x] & ~(1 << x)
+            imm = succ & ~above
+            if best is None or imm.bit_count() > best[2].bit_count():
+                best = (m, succ, imm)
+            if not heuristic:
+                break
+        m, succ, imm = best
+        s1 = s & ~(1 << m)
+        steps.append((m, imm if immediate_only else succ, s1, [row & s1 for row in rows]))
+        s = s1
+    steps.reverse()
+    return steps
+
+
+def _grow_per_conflict(confs, steps, unique):
+    """Reference for _grow: each conflict's Ys built from Y = {} up, from its
+    own base even when that is s1, and every extension built, Y = {} too."""
+    for m, base_succ, s1, imgs in steps:
+        out = []
+        for c in confs:
+            base = s1
+            if base_succ:
+                base = -1
+                u = base_succ
+                while u:
+                    low = u & -u
+                    base &= c[low.bit_length() - 1]
+                    u ^= low
+            ys = [0]
+            u = base
+            while u:
+                low = u & -u
+                ys += [y | imgs[low.bit_length() - 1] for y in ys]
+                u ^= low
+            for y in unique(ys):
+                ext = list(c)
+                ext[m] = y
+                v = y
+                while v:
+                    low = v & -v
+                    ext[low.bit_length() - 1] |= 1 << m
+                    v ^= low
+                out.append(tuple(ext))
+        confs = out
+    return confs
+
+
+@pytest.fixture(scope="module")
+def small_posets():
+    """Every poset on at most 5 events, and the 6-event antichain, whose
+    pivots never have a successor."""
+    return [
+        *(rows for n in range(6) for rows in order_enum._poset_rows(n)),
+        tuple(1 << i for i in range(6)),
+    ]
+
+
+def test_chain_matches_a_rescan_per_step(small_posets):
+    for rows in small_posets:
+        for heuristic in (True, False):
+            for immediate_only in (True, False):
+                expected = _steps_by_rescan(rows, heuristic, immediate_only)
+                assert conflicts._chain(rows, heuristic, immediate_only) == expected, rows
+
+
+def test_grow_matches_a_per_conflict_build(small_posets):
+    # dict.fromkeys is the listing's dedupe; iter keeps the repeated Ys, as
+    # the bench's late and naive placements do.  Under the heuristic pivot
+    # a step without successors only meets antichains, whose Ys never
+    # repeat; the first pivot also meets them beside comparable events.
+    for rows in small_posets:
+        for heuristic in (True, False):
+            steps = conflicts._chain(rows, heuristic, True)
+            start = [(0,) * len(rows)]
+            for unique in (dict.fromkeys, iter):
+                expected = _grow_per_conflict(start, steps, unique)
+                assert conflicts._grow(start, steps, unique) == expected, (rows, unique)
+
+
 def test_pivot_never_conflicts_with_itself():
     for n in range(1, 4):
         for p in enumerate_posets(n):

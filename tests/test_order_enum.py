@@ -221,7 +221,7 @@ def test_distinct_rows_filter_agrees_with_the_bit_loop():
             assert order_enum._antisymmetric_rows(rows) == _antisymmetric_by_bits(rows), rows
 
 
-def test_preorders_are_posets_on_their_blocks():
+def test_preorders_are_posets_on_their_blocks(order_six_listed):
     # A preorder is a poset on its classes of equivalent events, so
     # A000798(n) = sum over k of S(n, k) * A001035(k), S the Stirling
     # numbers of the second kind: a second route to the filter's counts.
