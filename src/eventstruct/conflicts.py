@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import and_, getitem
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .relations import (
     Rel, RowTable, columns, cover_rows, field_of, is_event_structure, is_partial_order,
@@ -75,7 +75,7 @@ def _choose(p: Rel, *, heuristic: bool) -> PivotResult:
     rows, ids = _packed(p)
     if not rows:
         return PivotResult(None, p)
-    m = ids[_chain(rows, heuristic, True)[-1][0]]  # the first pivot
+    m = ids[next(_chain(rows, heuristic, True))[0]]  # the first pivot
     return PivotResult(m, remove_element(p, m))
 
 
@@ -102,7 +102,7 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
         conf[index[x]] |= 1 << index[y]
     step = _step(rows, cover_rows(rows), (1 << len(rows)) - 1, k, immediate_only)
     table = _pair_table(ids)
-    return [_unpack_conflict(ext, table) for ext in _grow([tuple(conf)], [step])]
+    return [_unpack_conflict(ext, table) for ext in _grow([tuple(conf)], [step], rows)]
 
 
 def allowed_conflicts(
@@ -174,15 +174,18 @@ def _heuristic(pivot: str) -> bool:
 # (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
 # bitmask rows over the same indices.
 #
-# _chain fixes the pivot steps (_step) from one cover pass per poset
-# (relations.cover_rows), and _grow is the one level loop over them: it
-# keeps each conflict as its own Y = {} extension and builds the Ys once
-# per step whose pivot has no strict successor.  _conflicts_packed lists
-# the conflicts, _count_variant counts them for the bench (every level
-# built, under each dedupe placement), and generate_conflicts runs a
-# single step.  _count_packed counts the conflicts as up-sets of the
-# disjoint-pair poset and shares no code with the recursion, so each
-# checks the other.  A poset with a maximum has one conflict; any other
+# _chain yields the pivot steps (_step), first pivot first, from one cover
+# pass per poset (relations.cover_rows), and _grow is the one level loop
+# over them: it keeps each conflict as its own Y = {} extension and
+# builds a step's Ys once per distinct base.  _conflicts_packed lists the
+# conflicts by extending, through the first step, the list of the rows
+# that pivot leaves, which the caller's memo may hold: es_enum keeps one
+# per stream, which 3,136 of the 4,231 posets on 5 events and 78,113 of
+# the 130,023 on 6 find filled.  _count_variant counts the conflicts for
+# the bench (every level built, under each dedupe placement), and
+# generate_conflicts runs a single step.  _count_packed counts the
+# conflicts as up-sets of the disjoint-pair poset and shares no code with
+# the recursion, so each checks the other.  A poset with a maximum has one conflict; any other
 # is relabeled (_relabeled, through one lazily filled table per event
 # order, _relabel_table) and its count memoized on that copy
 # (_count_upsets), so the isomorphic posets that relabel alike are
@@ -233,89 +236,87 @@ def _unpack_conflict(conf: Sequence[int], table: list[RowTable]) -> Rel:
     return frozenset().union(*map(getitem, table, conf))
 
 
-def _step(rows, covers, s: int, m: int, immediate_only: bool) -> tuple:
-    """Step (m, base_succ, s1, imgs) adding m, minimal in the up-set s, to s1 = s - {m}.
+def _step(rows, covers, s: int, m: int, immediate_only: bool) -> tuple[int, int, int]:
+    """Step (m, base_succ, s1) adding m, minimal in the up-set s, to s1 = s - {m}.
 
-    imgs[x] is row x within s1.  The base meets the conflict rows of
-    base_succ: m's immediate successors (covers[m]), or with
-    immediate_only=False all its strict ones.  Either is 0 exactly when
-    m has no strict successor.
+    The base meets the conflict rows of base_succ: m's immediate
+    successors (covers[m]), or with immediate_only=False all its strict
+    ones.  Either is 0 exactly when m has no strict successor.
     """
     s1 = s & ~(1 << m)
-    base_succ = covers[m] if immediate_only else rows[m] & s1
-    return m, base_succ, s1, [row & s1 for row in rows]
+    return m, covers[m] if immediate_only else rows[m] & s1, s1
 
 
-def _chain(rows, heuristic: bool, immediate_only: bool) -> list[tuple]:
-    """Pivot steps (see _step), last pivot first.
+def _chain(rows, heuristic: bool, immediate_only: bool, covers=None) -> Iterator[tuple]:
+    """Pivot steps (see _step), first pivot first, each made when it is taken.
 
     Each step removes a minimal element of the events s still left, so s
     stays an up-set, and an element of s keeps all its successors in s:
-    one cover pass (cover_rows) serves every step.  The pivot is the
-    first element of s in one fixed order that is minimal in s: most
-    immediate successors first, smallest index on ties, or by index
-    alone if not heuristic.
+    one cover pass (covers, or cover_rows(rows) if None) serves every
+    step.  The pivot is the first element of s in one fixed order that is
+    minimal in s: most immediate successors first, smallest index on
+    ties, or by index alone if not heuristic.
     """
+    if covers is None:
+        covers = cover_rows(rows)
     cols = columns(rows)
-    covers = cover_rows(rows)
     order = list(range(len(rows)))
     if heuristic:
         order.sort(key=lambda m: -covers[m].bit_count())  # stable: ties keep index order
-    chain = []
     s = (1 << len(rows)) - 1
     while s:
         for m in order:
             if cols[m] & s == 1 << m:
                 break  # m is in s, and no other event of s is below it
         step = _step(rows, covers, s, m, immediate_only)
-        chain.append(step)
+        yield step
         s = step[2]
-    chain.reverse()
-    return chain
 
 
-def _images(base: int, imgs) -> list[int]:
-    """Every nonempty Y: the union of imgs[x] over a nonempty subset of base.
+def _images(base: int, rows) -> list[int]:
+    """Every nonempty Y: the union of rows[x] over a nonempty subset of base.
 
-    Listed by subset, as binary counting over the bits of base, so a Y
-    may repeat.
+    base lies in the events left at a step, an up-set, so each such row
+    lies in them too.  Listed by subset, as binary counting over the
+    bits of base, so a Y may repeat.
     """
     ys: list[int] = []
     u = base
     while u:
         low = u & -u
-        im = imgs[low.bit_length() - 1]
+        im = rows[low.bit_length() - 1]
         ys += [im, *[y | im for y in ys]]
         u ^= low
     return ys
 
 
-def _grow(confs: list[tuple[int, ...]], steps, unique=dict.fromkeys) -> list:
-    """Extend every conflict through the steps, level by level.
+def _grow(confs: list[tuple[int, ...]], steps, rows, unique=dict.fromkeys) -> list:
+    """Extend every conflict through the steps, in the order given, level by level.
 
-    unique removes the repeated Ys of one conflict; distinct Ys give
+    unique removes the repeated Ys of one base; distinct Ys give
     distinct extensions, so with the default no level has duplicates.
     Y = {} comes first and extends a conflict to itself, which is kept
-    as it is.  A step whose pivot has no strict successor (base_succ 0)
-    has the base s1 for every conflict, so its Ys are built once.
+    as it is.  The other Ys depend on the conflict only through its
+    base, so a step builds them once per distinct base: once in all
+    when the pivot has no strict successor (base_succ 0, base s1).
     """
-    for m, base_succ, s1, imgs in steps:
+    for m, base_succ, s1 in steps:
         mbit = 1 << m
-        shared = None if base_succ else list(unique(_images(s1, imgs)))
+        ys_by_base: dict[int, list[int]] = {}
         out = []
         for c in confs:
             out.append(c)  # Y = {}
-            ys = shared
+            base = s1
+            u = base_succ
+            while u:
+                l2 = u & -u
+                base &= c[l2.bit_length() - 1]
+                u ^= l2
+            if not base:
+                continue
+            ys = ys_by_base.get(base)
             if ys is None:
-                base = -1
-                u = base_succ
-                while u:
-                    l2 = u & -u
-                    base &= c[l2.bit_length() - 1]
-                    u ^= l2
-                if not base:
-                    continue
-                ys = unique(_images(base, imgs))
+                ys = ys_by_base[base] = list(unique(_images(base, rows)))
             for y in ys:
                 ext = list(c)
                 ext[m] = y
@@ -329,9 +330,32 @@ def _grow(confs: list[tuple[int, ...]], steps, unique=dict.fromkeys) -> list:
     return confs
 
 
-def _conflicts_packed(rows, *, heuristic: bool = True, immediate_only: bool = True):
-    """Duplicate-free list of the packed allowed conflicts of rows."""
-    return _grow([(0,) * len(rows)], _chain(rows, heuristic, immediate_only))
+def _conflicts_packed(
+    rows, *, heuristic: bool = True, immediate_only: bool = True, covers=None, sub_lists=None
+):
+    """Duplicate-free list of the packed allowed conflicts of rows.
+
+    covers, if given, is cover_rows(rows).  The list extends, by the
+    first pivot's step, the list of sub: the same rows with that pivot's
+    row zeroed.  Its events keep their indices, so its pivots, bases and
+    Ys are those of the rest of rows' chain, and so is its list.
+    sub_lists, if given, is a memo of those lists by sub (get and item
+    assignment), for one pivot rule and one immediate_only: es_enum
+    passes one per stream, where posets that differ only in their first
+    pivot's row share one sub.
+    """
+    steps = _chain(rows, heuristic, immediate_only, covers)
+    first = next(steps, None)
+    if first is None:
+        return [()]  # no events: the empty conflict only
+    if sub_lists is None:
+        sub_lists = {}  # dropped with this call
+    m = first[0]
+    sub = (*rows[:m], 0, *rows[m + 1:])
+    listed = sub_lists.get(sub)
+    if listed is None:
+        listed = sub_lists[sub] = _grow([(0,) * len(rows)], [*steps][::-1], rows)
+    return _grow(listed, [first], rows)
 
 
 @lru_cache(maxsize=32)
@@ -428,8 +452,8 @@ def _count_variant(rows, *, heuristic: bool, dedupe: str) -> int:
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
     unique = dict.fromkeys if dedupe == "final" else iter
     confs = [(0,) * len(rows)]
-    for step in _chain(rows, heuristic, True):
-        confs = _grow(confs, [step], unique=unique)
+    for step in [*_chain(rows, heuristic, True)][::-1]:
+        confs = _grow(confs, [step], rows, unique=unique)
         if dedupe == "late":
             confs = list(dict.fromkeys(confs))
     return len(set(confs)) if dedupe == "naive" else len(confs)

@@ -232,6 +232,23 @@ def test_dot_arcs_are_the_covering_relation():
             assert arcs == covering_relation(rows_to_rel(rows, range(n))), rows
 
 
+def test_dot_makes_each_posets_cover_rows_once(monkeypatch):
+    # es_enum._by_poset makes them for the pivot chain, and dot draws from them.
+    calls = []
+    cover_rows = conflicts.cover_rows
+
+    def counted(rows):
+        calls.append(1)
+        return cover_rows(rows)
+
+    for module in (conflicts, es_enum, cli):
+        monkeypatch.setattr(module, "cover_rows", counted)
+    out = io.StringIO()
+    cli._emit(_enumerate_args("dot", False), out)
+    assert out.getvalue().count("digraph ") == 916
+    assert len(calls) == 219
+
+
 def test_canonical_streams_from_the_first_poset(monkeypatch):
     calls = []
     listed = conflicts._conflicts_packed
@@ -300,6 +317,29 @@ def test_verify():
     assert result.stdout.count(": ok") == 4
     refused = run_cli("verify", "--n", "9")
     assert refused.returncode == 2
+
+
+def test_verify_refuses_a_guard_error_from_the_oracle(monkeypatch, capsys):
+    from eventstruct import oracle
+
+    def guarded(n):
+        raise oracle.OracleGuardError("brute force refused")
+
+    monkeypatch.setattr(oracle, "brute_force_posets", guarded)
+    assert cli.main(["verify", "--n", "2"]) == cli.EXIT_GUARD == 2
+    captured = capsys.readouterr()
+    assert captured.out == "preorders: ok (4 relations)\n"
+    assert captured.err == "eventstruct: brute force refused\n"
+
+
+def test_cli_import_leaves_json_and_the_oracle_out():
+    # Only bench and verify use them, and each imports its own.
+    code = (
+        "import sys, eventstruct.cli; "
+        "print(sorted({'json', 'eventstruct.oracle'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
 def test_verify_runs_the_up_set_count(monkeypatch, capsys):

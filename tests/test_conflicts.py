@@ -333,8 +333,9 @@ def test_count_variant_rejects_unknown_mode():
 
 
 def _steps_by_rescan(rows, heuristic, immediate_only):
-    """Reference for _chain: at every step, each minimal candidate's strict
-    and immediate successors are found again within the events left."""
+    """Reference for _chain, first pivot first: at every step, each minimal
+    candidate's strict and immediate successors are found again within
+    the events left."""
     k = len(rows)
     cols = [sum(1 << i for i in range(k) if rows[i] >> j & 1) for j in range(k)]
     steps = []
@@ -356,16 +357,16 @@ def _steps_by_rescan(rows, heuristic, immediate_only):
                 break
         m, succ, imm = best
         s1 = s & ~(1 << m)
-        steps.append((m, imm if immediate_only else succ, s1, [row & s1 for row in rows]))
+        steps.append((m, imm if immediate_only else succ, s1))
         s = s1
-    steps.reverse()
     return steps
 
 
-def _grow_per_conflict(confs, steps, unique):
+def _grow_per_conflict(confs, steps, rows, unique):
     """Reference for _grow: each conflict's Ys built from Y = {} up, from its
-    own base even when that is s1, and every extension built, Y = {} too."""
-    for m, base_succ, s1, imgs in steps:
+    own base even when that is s1, from its images within s1, and every
+    extension built, Y = {} too."""
+    for m, base_succ, s1 in steps:
         out = []
         for c in confs:
             base = s1
@@ -380,7 +381,7 @@ def _grow_per_conflict(confs, steps, unique):
             u = base
             while u:
                 low = u & -u
-                ys += [y | imgs[low.bit_length() - 1] for y in ys]
+                ys += [y | rows[low.bit_length() - 1] & s1 for y in ys]
                 u ^= low
             for y in unique(ys):
                 ext = list(c)
@@ -410,7 +411,7 @@ def test_chain_matches_a_rescan_per_step(small_posets):
         for heuristic in (True, False):
             for immediate_only in (True, False):
                 expected = _steps_by_rescan(rows, heuristic, immediate_only)
-                assert conflicts._chain(rows, heuristic, immediate_only) == expected, rows
+                assert list(conflicts._chain(rows, heuristic, immediate_only)) == expected, rows
 
 
 def test_grow_matches_a_per_conflict_build(small_posets):
@@ -420,11 +421,58 @@ def test_grow_matches_a_per_conflict_build(small_posets):
     # repeat; the first pivot also meets them beside comparable events.
     for rows in small_posets:
         for heuristic in (True, False):
-            steps = conflicts._chain(rows, heuristic, True)
+            steps = list(conflicts._chain(rows, heuristic, True))[::-1]  # last pivot first
             start = [(0,) * len(rows)]
             for unique in (dict.fromkeys, iter):
-                expected = _grow_per_conflict(start, steps, unique)
-                assert conflicts._grow(start, steps, unique) == expected, (rows, unique)
+                expected = _grow_per_conflict(start, steps, rows, unique)
+                assert conflicts._grow(start, steps, rows, unique) == expected, (rows, unique)
+
+
+def test_a_step_builds_its_ys_once_per_distinct_base(small_posets, monkeypatch):
+    calls = []
+    images = conflicts._images
+
+    def counted(base, rows):
+        calls.append(base)
+        return images(base, rows)
+
+    monkeypatch.setattr(conflicts, "_images", counted)
+    for rows in small_posets:
+        confs = [(0,) * len(rows)]
+        for step in list(conflicts._chain(rows, True, True))[::-1]:
+            m, base_succ, s1 = step
+            bases = set()
+            for c in confs:
+                base = s1
+                for x in range(len(rows)):
+                    if base_succ >> x & 1:
+                        base &= c[x]
+                if base:
+                    bases.add(base)
+            calls.clear()
+            confs = conflicts._grow(confs, [step], rows)
+            assert sorted(calls) == sorted(bases), (rows, step)
+    # On the 6-event antichain, once per step but the first, which adds the
+    # last pivot to no events: its base is empty.
+    calls.clear()
+    assert len(conflicts._conflicts_packed(small_posets[-1])) == 2 ** 15
+    assert len(calls) == 5
+
+
+def test_allowed_conflicts_keeps_no_memo(monkeypatch):
+    memos = []
+    listed = conflicts._conflicts_packed
+
+    def recorded(rows, **kwargs):
+        memos.append(kwargs.get("sub_lists"))
+        return listed(rows, **kwargs)
+
+    monkeypatch.setattr(conflicts, "_conflicts_packed", recorded)
+    before = dict(vars(conflicts))
+    first = allowed_conflicts(V_POSET)
+    assert allowed_conflicts(V_POSET) == first
+    assert memos == [None, None]
+    assert vars(conflicts) == before  # no module attribute made or rebound
 
 
 def test_pivot_never_conflicts_with_itself():

@@ -1,10 +1,11 @@
 import multiprocessing
 import os
 import signal
+import weakref
 
 import pytest
 
-from eventstruct import es_enum, order_enum
+from eventstruct import conflicts, es_enum, order_enum
 from eventstruct.es_enum import (
     CountRow,
     count_event_structures,
@@ -13,7 +14,7 @@ from eventstruct.es_enum import (
     enumerate_event_structures,
 )
 from eventstruct.oracle import brute_force_event_structures
-from eventstruct.relations import EventStructure
+from eventstruct.relations import EventStructure, cover_rows, rows_to_rel
 
 GOLDEN_TWO = {
     EventStructure({(0, 0), (0, 1), (1, 1)}, frozenset()),
@@ -54,6 +55,65 @@ def test_order_is_posets_then_conflicts():
     streamed = [(es.causality, es.conflict) for es in enumerate_event_structures(3)]
     composed = [(p, c) for p in enumerate_posets(3) for c in allowed_conflicts(p)]
     assert streamed == composed
+
+
+def _memoized(posets, heuristic, size):
+    memo = es_enum._Recent(size)
+    listed = [
+        conflicts._conflicts_packed(rows, heuristic=heuristic, sub_lists=memo) for rows in posets
+    ]
+    assert len(memo) <= size
+    return listed
+
+
+def test_memoized_lists_equal_the_per_poset_lists(monkeypatch):
+    # In stream order and in --canonical order, under both pivots, with a
+    # memo of one entry (an eviction on every new sub-poset) and the default.
+    for n in range(6):
+        stream = list(order_enum._poset_rows(n))
+        canonical = sorted(stream, key=lambda rows: sorted(rows_to_rel(rows, range(n))))
+        for posets in (stream, canonical):
+            for heuristic in (True, False):
+                alone = [conflicts._conflicts_packed(rows, heuristic=heuristic) for rows in posets]
+                for size in (1, es_enum._SUB_LISTS):
+                    assert _memoized(posets, heuristic, size) == alone, (n, heuristic, size)
+                    if heuristic:
+                        monkeypatch.setattr(es_enum, "_SUB_LISTS", size)
+                        streamed = list(es_enum._by_poset(posets))
+                        assert [r for r, _, _ in streamed] == posets
+                        assert [c for _, c, _ in streamed] == list(map(cover_rows, posets))
+                        assert [confs for _, _, confs in streamed] == alone
+
+
+def test_recent_keeps_the_most_recently_used():
+    memo = es_enum._Recent(2)
+    memo["a"], memo["b"] = 1, 2
+    assert memo.get("a") == 1  # now b is the least recently used
+    memo["c"] = 3
+    assert dict(memo) == {"a": 1, "c": 3}
+    assert memo.get("b") is None
+    memo["a"] = 4  # a key already held drops nothing
+    assert dict(memo) == {"c": 3, "a": 4}
+
+
+def test_each_stream_has_its_own_memo(monkeypatch):
+    memos = []
+    listed = conflicts._conflicts_packed
+
+    def recorded(rows, **kwargs):
+        memos.append(kwargs["sub_lists"])
+        return listed(rows, **kwargs)
+
+    monkeypatch.setattr(conflicts, "_conflicts_packed", recorded)
+    first, second = enumerate_event_structures(3), enumerate_event_structures(3)
+    assert next(first) == next(second)
+    assert memos[0] is not memos[1]
+    assert list(first) == list(second)
+    assert {id(memo) for memo in memos} == {id(memos[0]), id(memos[1])}
+    # Nothing else holds a memo once its stream is done.
+    refs = [weakref.ref(memos[0]), weakref.ref(memos[1])]
+    memos.clear()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_counts():
