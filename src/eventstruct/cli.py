@@ -161,7 +161,7 @@ def _counter(kind: str, workers: int) -> Callable[[int], int]:
 def _cmd_count(args, parser) -> int:
     _check_n(parser, args.n)
     workers = args.workers if args.workers is not None else _default_workers()
-    if args.kind == "es" and workers < 1:
+    if workers < 1:
         parser.error("--workers must be >= 1")
     print(_counter(args.kind, workers)(args.n))
     return EXIT_OK
@@ -346,25 +346,32 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _bench(args, report: IO[str] | None) -> int:
+    # Listed once, outside every variant's time.
+    posets = list(order_enum._poset_rows(args.n))
+    variants = [(dedupe, pivot) for dedupe in args.dedupe for pivot in args.pivot]
     results = []
-    for dedupe in args.dedupe:
-        for pivot in args.pivot:
-            started = time.perf_counter()
-            count = es_enum.count_event_structures_variant(
-                args.n,
-                dedupe=dedupe,
-                # "naive" pivoting = take the first minimal element found
-                pivot="first" if pivot == "naive" else pivot,
-                progress=_progress(args.n),
-            )
-            elapsed = time.perf_counter() - started
-            results.append(
-                {
-                    "dedupe": f"dedupe-{dedupe}",
-                    "pivot": f"pivot-{pivot}",
-                    "seconds": round(elapsed, 4),
-                    "count": count,
-                }
+    for dedupe, pivot in variants:
+        started = time.perf_counter()
+        # "naive" pivoting = take the first minimal element found
+        count = sum(
+            conflicts._count_variant(rows, heuristic=pivot == "heuristic", dedupe=dedupe)
+            for rows in posets
+        )
+        elapsed = time.perf_counter() - started
+        results.append(
+            {
+                "dedupe": f"dedupe-{dedupe}",
+                "pivot": f"pivot-{pivot}",
+                "seconds": round(elapsed, 4),
+                "count": count,
+            }
+        )
+        if args.n >= PROGRESS_MIN_N:
+            print(
+                f"progress: {len(results)}/{len(variants)} variants counted over "
+                f"{len(posets)} posets",
+                file=sys.stderr,
+                flush=True,
             )
 
     width = max(len(f"{r['dedupe']} {r['pivot']}") for r in results)

@@ -180,9 +180,12 @@ def _heuristic(pivot: str) -> bool:
 # builds a step's Ys once per distinct base.  _conflicts_packed lists the
 # conflicts by extending, through the first step, the list of the rows
 # that pivot leaves, which the caller's memo may hold: es_enum keeps one
-# per stream, which 3,136 of the 4,231 posets on 5 events and 78,113 of
-# the 130,023 on 6 find filled.  _count_variant counts the conflicts for
-# the bench (every level built, under each dedupe placement), and
+# dict per stream, which 3,136 of the 4,231 posets on 5 events and 78,113
+# of the 130,023 on 6 find filled.  A found list is popped and stored
+# again here, so the dict's first key is the least recently used, and
+# es_enum trims the dict to its bound after each poset.  _count_variant
+# counts the conflicts for the bench (every level built, under each
+# dedupe placement, over one list of posets), and
 # generate_conflicts runs a single step.  _count_packed counts the
 # conflicts as up-sets of the disjoint-pair poset and shares no code with
 # the recursion, so each checks the other.  A poset with a maximum has one conflict; any other
@@ -339,10 +342,11 @@ def _conflicts_packed(
     first pivot's step, the list of sub: the same rows with that pivot's
     row zeroed.  Its events keep their indices, so its pivots, bases and
     Ys are those of the rest of rows' chain, and so is its list.
-    sub_lists, if given, is a memo of those lists by sub (get and item
-    assignment), for one pivot rule and one immediate_only: es_enum
-    passes one per stream, where posets that differ only in their first
-    pivot's row share one sub.
+    sub_lists, if given, is a dict memo of those lists by sub, for one
+    pivot rule and one immediate_only: es_enum passes one per stream,
+    where posets that differ only in their first pivot's row share one
+    sub.  The list of sub is popped and stored again, so the dict's
+    order puts the least recently used first; the owner trims it.
     """
     steps = _chain(rows, heuristic, immediate_only, covers)
     first = next(steps, None)
@@ -352,9 +356,10 @@ def _conflicts_packed(
         sub_lists = {}  # dropped with this call
     m = first[0]
     sub = (*rows[:m], 0, *rows[m + 1:])
-    listed = sub_lists.get(sub)
+    listed = sub_lists.pop(sub, None)
     if listed is None:
-        listed = sub_lists[sub] = _grow([(0,) * len(rows)], [*steps][::-1], rows)
+        listed = _grow([(0,) * len(rows)], [*steps][::-1], rows)
+    sub_lists[sub] = listed
     return _grow(listed, [first], rows)
 
 

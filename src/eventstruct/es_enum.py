@@ -22,7 +22,6 @@ from . import conflicts, order_enum
 from .relations import BoolMatrix, EventStructure, cover_rows, matrix_to_rel
 
 ProgressFn = Callable[[int, int], None]
-CountFn = Callable[[Sequence[int]], int]  # conflicts of one poset's rows
 
 _BATCH_SIZE = 1024  # order-(n-1) parents per batch
 # Entries of an enumerate stream's memo of the conflict lists of the posets
@@ -68,34 +67,13 @@ def _by_poset(poset_rows: Iterable) -> Iterator[tuple[Sequence[int], list[int], 
     conflicts._conflicts_packed).  Those lists are memoized for the
     stream alone, the _SUB_LISTS most recently used.
     """
-    sub_lists = _Recent(_SUB_LISTS)
+    sub_lists: dict = {}  # insertion order: least recently used first
     for rows in poset_rows:
         covers = cover_rows(rows)
-        yield rows, covers, conflicts._conflicts_packed(rows, covers=covers, sub_lists=sub_lists)
-
-
-class _Recent(dict):
-    """A memo of the maxsize most recently used entries, by get and item assignment.
-
-    get moves a found entry to the end; assigning a new key drops the
-    first entry, the least recently used, once maxsize are held.  Values
-    are never None, which get returns for a missing key.
-    """
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key):
-        value = self.pop(key, None)
-        if value is not None:
-            dict.__setitem__(self, key, value)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        if key not in self and len(self) >= self.maxsize:
-            del self[next(iter(self))]
-        dict.__setitem__(self, key, value)
+        confs = conflicts._conflicts_packed(rows, covers=covers, sub_lists=sub_lists)
+        while len(sub_lists) > _SUB_LISTS:
+            del sub_lists[next(iter(sub_lists))]
+        yield rows, covers, confs
 
 
 def count_event_structures(
@@ -114,25 +92,7 @@ def count_event_structures(
     # type() is not isinstance(): bool is a subclass of int.
     if type(workers) is not int or workers < 1:
         raise ValueError("workers must be an int >= 1")
-    return _count(n, workers=workers, progress=progress)[0]
-
-
-def count_event_structures_variant(
-    n: int,
-    *,
-    dedupe: str = "final",
-    pivot: str = "heuristic",
-    progress: ProgressFn | None = None,
-) -> int:
-    """Sequential count by the paper's recursion, under a dedupe placement and pivot.
-
-    All variants return the same number as count_event_structures; they
-    differ only in how much duplicate work the recursion performs, which
-    is what the bench command measures.
-    """
-    heuristic = conflicts._heuristic(pivot)
-    count = partial(conflicts._count_variant, heuristic=heuristic, dedupe=dedupe)
-    return _count(n, count=count, progress=progress)[0]
+    return _count(n, workers=workers, progress=progress)[2]
 
 
 def counts_up_to(max_n: int) -> CountTable:
@@ -142,36 +102,26 @@ def counts_up_to(max_n: int) -> CountTable:
     """
     if type(max_n) is not int or max_n < 0:
         raise ValueError("max_n must be an int >= 0")
-    out = []
-    for k in range(max_n + 1):
-        structures, posets = _count(k)
-        out.append(CountRow(k, order_enum.count_preorders(k), posets, structures))
-    return CountTable(tuple(out))
+    return CountTable(tuple(CountRow(k, *_count(k)) for k in range(max_n + 1)))
 
 
 def _count(
-    n: int,
-    *,
-    workers: int = 1,
-    count: CountFn | None = None,
-    progress: ProgressFn | None = None,
-) -> tuple[int, int]:
-    """(event structures, posets) over {0..n-1}, counted batch by batch.
+    n: int, *, workers: int = 1, progress: ProgressFn | None = None
+) -> tuple[int, int, int]:
+    """(preorders, posets, event structures) over {0..n-1}, counted batch by batch.
 
-    count gives the conflicts of one poset's rows; None is the production
-    conflicts._count_packed.  Every order-n poset extends one order-(n-1)
-    preorder, so the process that counts a batch of those parents extends
-    it; progress sees (parents done, parents in total).
+    Every order-n preorder extends one order-(n-1) preorder, so the
+    process that counts a batch of those parents extends it; progress
+    sees (parents done, parents in total).
     """
     if type(n) is not int or n < 0:
         raise ValueError("n must be an int >= 0")
     if n == 0:  # no parent order: the one poset () is counted directly
-        return (count or conflicts._count_packed)(()), 1
+        return 1, 1, conflicts._count_packed(())
     parents = list(order_enum._rows_stream(n - 1))
     batches = [parents[i:i + _BATCH_SIZE] for i in range(0, len(parents), _BATCH_SIZE)]
     workers = min(workers, os.cpu_count() or 1, len(batches))
-    count_batch = partial(_count_batch, k=n - 1, count=count)
-    structures = posets = done = 0
+    preorders = posets = structures = done = 0
     context = nullcontext()
     if workers > 1:
         # Imported only for a pool: it is about a quarter of `import eventstruct`.
@@ -180,29 +130,32 @@ def _count(
         context = multiprocessing.Pool(workers, _ignore_sigint)
     with context as pool:
         mapper = map if pool is None else pool.imap_unordered
-        for subtotal, size, extended in mapper(count_batch, batches):
-            structures += subtotal
-            posets += size
+        batch_counts = mapper(partial(_count_batch, k=n - 1), batches)
+        for batch_preorders, batch_posets, batch_structures, extended in batch_counts:
+            preorders += batch_preorders
+            posets += batch_posets
+            structures += batch_structures
             done += extended
             if progress is not None:
                 progress(done, len(parents))
-    return structures, posets
+    return preorders, posets, structures
 
 
 def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _count_batch(parents: list, *, k: int, count: CountFn | None) -> tuple[int, int, int]:
-    """(event structures, posets, parents) over the posets that extend the order-k parents."""
+def _count_batch(parents: list, *, k: int) -> tuple[int, int, int, int]:
+    """(preorders, posets, event structures, parents) over the extensions of the order-k parents."""
     # Looked up per batch, in the process that counts it, so the module
     # attributes are the ones that run (the benchmark's traced run wraps them).
-    if count is None:
-        count = conflicts._count_packed
+    count = conflicts._count_packed
     extend, antisymmetric = order_enum._extend_rows, order_enum._antisymmetric_rows
-    structures = posets = 0
+    preorders = posets = structures = 0
     for parent in parents:
-        children = list(filter(antisymmetric, extend(parent, k)))
-        structures += sum(map(count, children))
+        extended = extend(parent, k)
+        children = list(filter(antisymmetric, extended))
+        preorders += len(extended)
         posets += len(children)
-    return structures, posets, len(parents)
+        structures += sum(map(count, children))
+    return preorders, posets, structures, len(parents)

@@ -13,12 +13,9 @@ import time
 
 import pytest
 
+from eventstruct import cli
 from eventstruct.conflicts import allowed_conflicts
-from eventstruct.es_enum import (
-    count_event_structures,
-    count_event_structures_variant,
-    enumerate_event_structures,
-)
+from eventstruct.es_enum import count_event_structures, enumerate_event_structures
 from eventstruct.oracle import (
     brute_force_conflicts,
     brute_force_event_structures,
@@ -183,14 +180,14 @@ def test_c6e_transitive_reduction_round_trip():
     _report("C6e covering-relation round trip (n<=4)", ok)
 
 
-def test_c7_bench_variants():
+def test_c7_bench_variants(capsys):
     # Counts only: single runs of about 0.2 s cannot order the variants by
     # time; `eventstruct bench` is where timings are compared.
-    counts = set()
-    for dedupe in ("naive", "late", "final"):
-        for pivot in ("first", "heuristic"):
-            counts.add(count_event_structures_variant(5, dedupe=dedupe, pivot=pivot))
-    _report("C7 bench variants agree on counts", counts == {41099}, "6 variants at n=5")
+    code = cli.main(["bench", "--n", "5"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    counts = {row.split()[-1] for row in rows}
+    ok = code == 0 and len(rows) == 6 and counts == {"41099"}
+    _report("C7 bench variants agree on counts", ok, "6 variants at n=5")
 
 
 def test_c8_cli_contract(tmp_path):

@@ -41,6 +41,17 @@ def test_count_usage_errors():
     assert run_cli("count", "es").returncode == 1
 
 
+def test_count_refuses_workers_below_one(capsys):
+    for kind in cli.KINDS:
+        for workers in ("0", "-1"):
+            with pytest.raises(SystemExit) as refused:
+                cli.main(["count", kind, "--n", "3", "--workers", workers])
+            assert refused.value.code == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith("\neventstruct: error: --workers must be >= 1\n")
+
+
 def test_enumerate_pairs_matches_known_listing():
     result = run_cli("enumerate", "es", "--n", "2", "--format", "pairs", "--canonical")
     assert result.returncode == 0
@@ -396,6 +407,44 @@ def test_bench():
     assert all(line.endswith("41") for line in lines[1:])
     guard = run_cli("bench", "--n", "7")
     assert guard.returncode == 2
+
+
+def test_bench_lists_the_posets_once(monkeypatch, capsys):
+    calls = 0
+    extend = order_enum._extend_rows
+
+    def counted(rows, k):
+        nonlocal calls
+        calls += 1
+        return extend(rows, k)
+
+    monkeypatch.setattr(order_enum, "_extend_rows", counted)
+    assert cli.main(["bench", "--n", "4"]) == 0
+    # the 1 + 1 + 4 + 29 preorders on fewer than 4 events, once for all six variants
+    assert calls == 35
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 7 and all(line.endswith(" 916") for line in lines[1:])
+    assert captured.err == ""  # no progress below n = 5
+
+
+def test_bench_reports_each_variant_counted(monkeypatch, capsys):
+    seen = []
+
+    def one_each(rows, **kwargs):
+        seen.append((kwargs["dedupe"], kwargs["heuristic"]))
+        return 1
+
+    monkeypatch.setattr(conflicts, "_count_variant", one_each)
+    args = ["bench", "--n", "5", "--dedupe", "final", "late", "--pivot", "naive"]
+    assert cli.main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "progress: 1/2 variants counted over 4231 posets\n"
+        "progress: 2/2 variants counted over 4231 posets\n"
+    )
+    assert [line.split()[-1] for line in captured.out.splitlines()[1:]] == ["4231", "4231"]
+    assert seen == [("final", False)] * 4231 + [("late", False)] * 4231
 
 
 def test_bench_json_report(tmp_path):

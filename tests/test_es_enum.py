@@ -1,7 +1,7 @@
 import multiprocessing
 import os
 import signal
-import weakref
+import sys
 
 import pytest
 
@@ -9,7 +9,6 @@ from eventstruct import conflicts, es_enum, order_enum
 from eventstruct.es_enum import (
     CountRow,
     count_event_structures,
-    count_event_structures_variant,
     counts_up_to,
     enumerate_event_structures,
 )
@@ -58,11 +57,12 @@ def test_order_is_posets_then_conflicts():
 
 
 def _memoized(posets, heuristic, size):
-    memo = es_enum._Recent(size)
-    listed = [
-        conflicts._conflicts_packed(rows, heuristic=heuristic, sub_lists=memo) for rows in posets
-    ]
-    assert len(memo) <= size
+    # the memo protocol of _by_poset, under either pivot
+    memo, listed = {}, []
+    for rows in posets:
+        listed.append(conflicts._conflicts_packed(rows, heuristic=heuristic, sub_lists=memo))
+        while len(memo) > size:
+            del memo[next(iter(memo))]
     return listed
 
 
@@ -85,15 +85,35 @@ def test_memoized_lists_equal_the_per_poset_lists(monkeypatch):
                         assert [confs for _, _, confs in streamed] == alone
 
 
-def test_recent_keeps_the_most_recently_used():
-    memo = es_enum._Recent(2)
-    memo["a"], memo["b"] = 1, 2
-    assert memo.get("a") == 1  # now b is the least recently used
-    memo["c"] = 3
-    assert dict(memo) == {"a": 1, "c": 3}
-    assert memo.get("b") is None
-    memo["a"] = 4  # a key already held drops nothing
-    assert dict(memo) == {"c": 3, "a": 4}
+def test_memo_evicts_the_least_recently_used(monkeypatch):
+    # On 3 events: the antichain, the chain 0 < 1 < 2, and 1 < 2 beside 0
+    # leave these subs after their first pivots (0, 0 and 1).
+    antichain, chain, beside = (1, 2, 4), (7, 6, 4), (1, 6, 4)
+    subs = {antichain: (0, 2, 4), chain: (0, 6, 4), beside: (1, 0, 4)}
+    memos = []
+    listed = conflicts._conflicts_packed
+
+    def recorded(rows, **kwargs):
+        memos.append(kwargs["sub_lists"])
+        return listed(rows, **kwargs)
+
+    monkeypatch.setattr(conflicts, "_conflicts_packed", recorded)
+    monkeypatch.setattr(es_enum, "_SUB_LISTS", 2)
+    held, values = [], []
+    posets = [antichain, chain, antichain, beside, chain]
+    for rows, _, confs in es_enum._by_poset(posets):
+        assert confs == listed(rows)
+        held.append(list(memos[-1]))
+        values.append(memos[-1][subs[rows]])
+    assert held == [
+        [subs[antichain]],
+        [subs[antichain], subs[chain]],
+        [subs[chain], subs[antichain]],  # a hit moves its sub to the end
+        [subs[antichain], subs[beside]],  # the chain's, least recently used, is gone
+        [subs[beside], subs[chain]],
+    ]
+    assert values[2] is values[0]  # the antichain's sub was found, not listed again
+    assert values[4] is not values[1]  # the chain's was listed again after its eviction
 
 
 def test_each_stream_has_its_own_memo(monkeypatch):
@@ -110,10 +130,12 @@ def test_each_stream_has_its_own_memo(monkeypatch):
     assert memos[0] is not memos[1]
     assert list(first) == list(second)
     assert {id(memo) for memo in memos} == {id(memos[0]), id(memos[1])}
-    # Nothing else holds a memo once its stream is done.
-    refs = [weakref.ref(memos[0]), weakref.ref(memos[1])]
+    # Nothing else holds a memo once its stream is done: each has the
+    # reference count of a dict that only this test holds.
+    held = [memos[0], memos[1], {}]
     memos.clear()
-    assert [ref() for ref in refs] == [None, None]
+    counts = [sys.getrefcount(memo) for memo in held]
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_counts():
@@ -147,13 +169,16 @@ def test_workers_must_be_positive(monkeypatch):
 
 
 def test_variants_agree():
+    posets = list(order_enum._poset_rows(4))
     for dedupe in ("naive", "late", "final"):
-        for pivot in ("first", "heuristic"):
-            assert count_event_structures_variant(4, dedupe=dedupe, pivot=pivot) == 916
+        for heuristic in (False, True):
+            counts = (
+                conflicts._count_variant(rows, heuristic=heuristic, dedupe=dedupe)
+                for rows in posets
+            )
+            assert sum(counts) == 916
     with pytest.raises(ValueError):
-        count_event_structures_variant(2, dedupe="bogus")
-    with pytest.raises(ValueError):
-        count_event_structures_variant(2, pivot="bogus")
+        conflicts._count_variant(posets[0], heuristic=True, dedupe="bogus")
 
 
 def test_counts_up_to():
@@ -170,6 +195,17 @@ def test_counts_up_to():
     for max_n in (-1, 2.5, "3", True):
         with pytest.raises(ValueError, match="max_n must be an int >= 0"):
             counts_up_to(max_n)
+
+
+def test_counts_up_to_extends_each_preorder_once(monkeypatch):
+    # the preorder counts come from the pass that counts the posets
+    def streamed_again(n):
+        raise AssertionError("the preorders were streamed a second time")
+
+    monkeypatch.setattr(order_enum, "count_preorders", streamed_again)
+    rows = counts_up_to(5).rows
+    assert [row.preorders for row in rows] == [1, 1, 4, 29, 355, 6942]
+    assert rows[5] == (5, 6942, 4231, 41099)
 
 
 def test_progress_callback_sees_all_parents():

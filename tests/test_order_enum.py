@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eventstruct import es_enum, order_enum
+from eventstruct import cli, es_enum, order_enum
 from eventstruct.oracle import brute_force_posets, brute_force_preorders
 from eventstruct.order_enum import (
     ExtensionPair,
@@ -270,13 +270,17 @@ def test_negative_n_is_refused():
         enumerate_strict_posets,
         enumerate_posets,
         es_enum.count_event_structures,
-        es_enum.count_event_structures_variant,
         lambda n: list(es_enum.enumerate_event_structures(n)),
     )
     for call in calls:
         for n in (-1, 2.5, "3", True):
             with pytest.raises(ValueError, match="n must be an int >= 0"):
                 call(n)
+    # bench, which counts the variants, refuses them as usage errors
+    for n in ("-1", "2.5", "True"):
+        with pytest.raises(SystemExit) as refused:
+            cli.main(["bench", "--n", n])
+        assert refused.value.code == cli.EXIT_USAGE
 
 
 @pytest.mark.slow
