@@ -36,7 +36,7 @@ from operator import and_, getitem
 from typing import Iterator, Sequence
 
 from .relations import (
-    Rel, RowTable, columns, cover_rows, field_of, is_event_structure, is_partial_order,
+    Rel, RowTable, bits, columns, cover_rows, field_of, is_event_structure, is_partial_order,
     remove_element, row_tables,
 )
 
@@ -86,10 +86,13 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
     allowed conflict for remove_element(p, m).  With immediate_only=False
     the base intersection runs over all strict successors of m instead of
     only the immediate ones; the output set is the same.  Raises
-    ValueError when p is not a partial order on natural-number ids, when
-    m is not minimal in p, or when c is not an allowed conflict of
-    remove_element(p, m) (which refuses a c naming m or an event outside p).
+    ValueError when m or an id of p or c is not a natural number, when p
+    is not a partial order or m is not minimal in it, or when c is not
+    an allowed conflict of remove_element(p, m), which refuses a c that
+    names m or an event outside p.
     """
+    if any(type(x) is not int or x < 0 for x in (m, *(x for pair in c for x in pair))):
+        raise ValueError("event ids must be natural numbers")  # a bool is no id either
     rows, ids = _packed(p)
     index = {x: i for i, x in enumerate(ids)}
     k = index.get(m)
@@ -284,12 +287,9 @@ def _images(base: int, rows) -> list[int]:
     bits of base, so a Y may repeat.
     """
     ys: list[int] = []
-    u = base
-    while u:
-        low = u & -u
-        im = rows[low.bit_length() - 1]
+    for j in bits(base):
+        im = rows[j]
         ys += [im, *[y | im for y in ys]]
-        u ^= low
     return ys
 
 
@@ -305,16 +305,14 @@ def _grow(confs: list[tuple[int, ...]], steps, rows, unique=dict.fromkeys) -> li
     """
     for m, base_succ, s1 in steps:
         mbit = 1 << m
+        succ = bits(base_succ)
         ys_by_base: dict[int, list[int]] = {}
         out = []
         for c in confs:
             out.append(c)  # Y = {}
             base = s1
-            u = base_succ
-            while u:
-                l2 = u & -u
-                base &= c[l2.bit_length() - 1]
-                u ^= l2
+            for j in succ:
+                base &= c[j]
             if not base:
                 continue
             ys = ys_by_base.get(base)
@@ -323,11 +321,8 @@ def _grow(confs: list[tuple[int, ...]], steps, rows, unique=dict.fromkeys) -> li
             for y in ys:
                 ext = list(c)
                 ext[m] = y
-                v = y
-                while v:
-                    l3 = v & -v
-                    ext[l3.bit_length() - 1] |= mbit
-                    v ^= l3
+                for j in bits(y):
+                    ext[j] |= mbit
                 out.append(tuple(ext))
         confs = out
     return confs
@@ -363,12 +358,6 @@ def _conflicts_packed(
     return _grow(listed, [first], rows)
 
 
-@lru_cache(maxsize=32)
-def _spread_masks(n: int) -> tuple[int, int]:
-    """(k, m) such that row * k & m moves bit c of an n-bit row to bit c*(n+1)."""
-    return sum(1 << c * n for c in range(n)), sum(1 << c * (n + 1) for c in range(n))
-
-
 def _relabeled(rows) -> tuple[int, ...]:
     """An isomorphic copy of the poset rows whose index order extends it.
 
@@ -391,10 +380,8 @@ def _relabel_table(order: tuple[int, ...]) -> RowTable:
     Each entry is made on its first lookup, so a one-off relabeling
     fills at most one entry per row.
     """
-    bits = [0] * len(order)
-    for i, e in enumerate(order):
-        bits[e] = 1 << i
-    return row_tables([order], lambda _: bits, sum)[0]
+    # The row's pieces: old index e -> 1 << its position in order.
+    return row_tables([order], lambda _: [1 << order.index(e) for e in range(len(order))], sum)[0]
 
 
 def _count_packed(rows) -> int:
@@ -421,9 +408,12 @@ def _count_upsets(key: tuple[int, ...]) -> int:
     pairs above it forced.  The loop is flat, so no recursion depth
     grows with the number of pairs.
     """
-    n = len(key)
+    n = len(key)  # >= 2: _count_packed answers smaller posets itself
     stride = n + 1
-    k, m = _spread_masks(n)
+    # row * k & m moves bit c of an n-bit row to bit c*(n+1).  By the
+    # geometric series, k has bits c*n and m bits c*(n+1), for c < n.
+    k = ((1 << n * n) - 1) // ((1 << n) - 1)
+    m = ((1 << n * stride) - 1) // ((1 << stride) - 1)
     spread = [row * k & m for row in key]
     counts = {0: 1}  # forced pairs -> number of up-sets so far
     for b in range(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .relations import (
-    BoolMatrix, Rel, columns, is_reflexive_on, is_transitive, matrix_to_rel, set_diag
+    BoolMatrix, Rel, bits, columns, is_reflexive_on, is_transitive, matrix_to_rel, set_diag
 )
 
 RowTuple = tuple[int, ...]
@@ -62,13 +62,9 @@ def _extend_rows(rows: RowTuple, k: int) -> list[RowTuple]:
     for alpha in _closed_masks(columns(rows)):
         stem = list(rows)
         need = kbit - 1
-        t = alpha
-        while t:
-            low = t & -t
-            i = low.bit_length() - 1
+        for i in bits(alpha):
             stem[i] |= kbit
             need &= rows[i]
-            t ^= low
         betas = betas_by_need.get(need)
         if betas is None:
             betas = betas_by_need[need] = [(beta | kbit,) for beta in ups if not beta & ~need]

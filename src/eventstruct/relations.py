@@ -4,11 +4,15 @@ A relation is a frozenset of (int, int) pairs; the carrier set is never
 stored separately, it is recovered from the pairs (the field of a
 relation is the union of its domain and range).  All operations are pure
 functions on immutable values.
+
+The packed code walks a row bitmask's set bits only through bits(mask);
+the oracle alone keeps its own loop, sharing no code with that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 Pair = tuple[int, int]
@@ -151,11 +155,14 @@ class BoolMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 0 or len(self.rows) != self.order:
-            raise ValueError("matrix must be square: expected one row bitmask per row")
+        # A tuple, as the class is frozen: a list given in would leave it unhashable.
+        object.__setattr__(self, "rows", tuple(self.rows))
+        # type(): a bool is an int subclass, and a float would pass the range checks.
+        if type(self.order) is not int or self.order < 0 or len(self.rows) != self.order:
+            raise ValueError("matrix must be square: an int order >= 0, one row bitmask per row")
         limit = 1 << self.order
-        if any(row < 0 or row >= limit for row in self.rows):
-            raise ValueError("row bitmask out of range for matrix order")
+        if any(type(row) is not int or row < 0 or row >= limit for row in self.rows):
+            raise ValueError("row bitmasks must be ints in range for the matrix order")
 
     @classmethod
     def from_lists(cls, entries: list[list[bool]]) -> "BoolMatrix":
@@ -172,15 +179,26 @@ class BoolMatrix:
         return [[self.entry(i, j) for j in range(self.order)] for i in range(self.order)]
 
 
+# Sized so that every mask of a stream on n <= 8 events (2**8 of them) stays
+# cached; a wider mask, from a library call on more events, may evict one.
+@lru_cache(maxsize=1 << 8)
+def bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask >= 0, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
+
+
 def columns(rows: Sequence[int]) -> list[int]:
     """Transpose of a square bitmask matrix: bit i of columns[j] is bit j of rows[i]."""
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
         bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
+        for j in bits(row):
+            cols[j] |= bit
     return cols
 
 
@@ -194,27 +212,14 @@ def cover_rows(rows: Sequence[int]) -> list[int]:
     for i, row in enumerate(rows):
         succ = row & ~(1 << i)
         above = 0  # the events strictly above some strict successor of i
-        u = succ
-        while u:
-            low = u & -u
-            above |= rows[low.bit_length() - 1] & ~low
-            u ^= low
+        for j in bits(succ):
+            above |= rows[j] & ~(1 << j)
         covers.append(succ & ~above)
     return covers
 
 
-def pick_bits(row: int, items: Sequence) -> list:
-    """items[j] for every set bit j of row, in increasing j."""
-    picked = []
-    while row:
-        low = row & -row
-        picked.append(items[low.bit_length() - 1])
-        row ^= low
-    return picked
-
-
 class RowTable(dict):
-    """Row x's table: row mask -> join(pick_bits(mask, row_pieces(x))).
+    """Row x's table: row mask -> join of row_pieces(x)[j] over bits(mask).
 
     Each entry is made on first use and then looked up.  The row's
     pieces, one per column, are made at its first nonzero mask; mask 0
@@ -227,7 +232,7 @@ class RowTable(dict):
     def __missing__(self, mask: int):
         if self.pieces is None:
             self.pieces = self.row_pieces(self.x)
-        value = self[mask] = self.join(pick_bits(mask, self.pieces))
+        value = self[mask] = self.join([self.pieces[j] for j in bits(mask)])
         return value
 
 
@@ -246,7 +251,7 @@ def row_tables(ids: Sequence[int], row_pieces: Callable, join: Callable) -> list
 
 def rows_to_rel(rows: Sequence[int], ids: Sequence[int]) -> Rel:
     """Pairs (ids[i], ids[j]) for every set bit j of rows[i]."""
-    return frozenset([(x, y) for x, row in zip(ids, rows) for y in pick_bits(row, ids)])
+    return frozenset([(x, ids[j]) for x, row in zip(ids, rows) for j in bits(row)])
 
 
 def matrix_to_rel(a: BoolMatrix) -> Rel:

@@ -20,6 +20,7 @@ from eventstruct.es_enum import enumerate_event_structures
 from eventstruct.oracle import brute_force_conflicts
 from eventstruct.order_enum import enumerate_posets
 from eventstruct.relations import (
+    bits,
     is_event_structure,
     minimal_elements,
     reflexive_transitive_closure,
@@ -75,6 +76,22 @@ def test_generate_conflicts_chain():
 def test_generate_conflicts_v_poset():
     c = frozenset({(1, 2), (2, 1)})
     assert generate_conflicts(V_POSET, 0, c) == [c]
+
+
+def test_generate_conflicts_refuses_ids_that_are_not_ints():
+    # m or an id of c that is a bool or a float is refused before any other
+    # check, as allowed_conflicts refuses such ids in p
+    calls = (
+        lambda: generate_conflicts(ANTICHAIN2, True, frozenset()),
+        lambda: generate_conflicts(ANTICHAIN2, 1.0, frozenset()),
+        lambda: generate_conflicts(ANTICHAIN3, 0, frozenset({(True, 2), (2, True)})),
+        lambda: generate_conflicts(ANTICHAIN3, 0, frozenset({(1, 2.0), (2.0, 1)})),
+        lambda: generate_conflicts(CYCLE2, False, frozenset()),  # p is not checked first
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="natural numbers"):
+            call()
+    assert len(generate_conflicts(ANTICHAIN2, 1, frozenset())) == 2
 
 
 def test_generate_conflicts_rejects_bad_input():
@@ -572,3 +589,20 @@ def test_count_reaches_posets_listing_cannot():
     assert count_allowed_conflicts(antichain) == 2**1225
     assert count_allowed_conflicts(chain, pivot="first") == 1
     assert time.perf_counter() - started < 1.0
+
+
+def test_wide_posets_keep_the_bit_memo_within_its_bound():
+    # 50-bit row masks may evict memo entries but never grow the memo past its bound;
+    # listing the antichain's 2**1225 conflicts could never finish, so only the chain is listed
+    ids = [7919 * i + 3 for i in range(50)]
+    antichain = frozenset((x, x) for x in ids)
+    chain = frozenset((x, y) for i, x in enumerate(ids) for y in ids[i:])
+    bits.cache_clear()
+    for mask in range(1 << 8):  # fill the memo first
+        bits(mask)
+    assert count_allowed_conflicts(antichain) == 2**1225
+    assert count_allowed_conflicts(chain) == 1
+    assert allowed_conflicts(chain) == [frozenset()]
+    info = bits.cache_info()
+    assert info.misses > 1 << 8  # wide masks were looked up too
+    assert info.currsize <= info.maxsize == 1 << 8

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eventstruct import order_enum
 from eventstruct.relations import (
     BoolMatrix,
     EventStructure,
+    bits,
     covering_relation,
     domain_of,
     field_of,
@@ -184,6 +187,51 @@ def test_bool_matrix_validation():
         BoolMatrix(1, (2,))
     with pytest.raises(ValueError):
         BoolMatrix.from_lists([[True, False], [True]])
+
+
+def test_bool_matrix_freezes_its_rows():
+    a = BoolMatrix(2, [1, 2])
+    assert a.rows == (1, 2)
+    assert a == BoolMatrix(2, (1, 2))
+    assert hash(a) == hash(BoolMatrix(2, (1, 2)))
+    assert BoolMatrix(2, iter((1, 2))) == a
+
+
+def test_bool_matrix_refuses_orders_and_rows_that_are_not_ints():
+    # a float or bool would pass the range checks, then fail later or read as 0 or 1
+    for order, rows in (
+        (1, (1.0,)),
+        (2, (1, 2.0)),
+        (1, (True,)),
+        (2.0, (1, 2)),
+        (True, (1,)),
+        (1, ("1",)),
+    ):
+        with pytest.raises(ValueError):
+            BoolMatrix(order, rows)
+
+
+def _bits_by_scan(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def test_bits_exhaustive_below_2_to_the_10():
+    for mask in range(1 << 10):
+        assert list(bits(mask)) == _bits_by_scan(mask)
+
+
+@given(st.integers(0, 2**200))
+def test_bits_matches_a_scan(mask):
+    assert list(bits(mask)) == _bits_by_scan(mask)
+
+
+def test_bits_keeps_every_mask_on_8_events():
+    # every row mask of a stream on n <= 8 events stays cached
+    bits.cache_clear()
+    for _ in range(2):
+        for mask in range(1 << 8):
+            bits(mask)
+    assert bits.cache_info().misses == 1 << 8
 
 
 def test_reflexive_transitive_closure():
