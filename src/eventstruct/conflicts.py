@@ -30,9 +30,9 @@ _packed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
-from operator import and_, getitem
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .relations import (
@@ -144,17 +144,16 @@ def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
     the time grows about 3.5-fold with each chain (0.9 s at k = 12 and
     12 s at k = 14, CPython 3.11 on a 2-core host).
 
-    A poset with a maximum has one conflict and costs one AND per row.
-    Other counts are memoized on a relabeled copy of p (events sorted by
+    Counts are memoized on a relabeled copy of p (events sorted by
     up-set), for the 131,072 most recently used copies, about 230 bytes
-    each on 6 events: the 91,604 distinct copies of the posets on 7
-    events without a maximum all fit.  A cache hit (any poset isomorphic
-    to an earlier one and sorted alike) costs the sort, one table lookup
-    per row and two hashes (the order's and the copy's), about 3 us on 6
-    events against about 5 us with a bit loop per row, and no count.
-    The relabeling tables, one per event order, are kept for the 8,192
-    most recently used orders: the 4,320 orders of the posets on 7
-    events all fit, and they add about 8 MB to that count's peak RSS.
+    each on 6 events: the 96,428 distinct copies of the posets on 7
+    events, those with a maximum included, all fit.  A cache hit (any
+    poset isomorphic to an earlier one and sorted alike) costs the sort,
+    one table lookup per row and two hashes (the order's and the
+    copy's), about 3 us on 6 events against about 5 us with a bit loop
+    per row, and no count.  The relabeling tables, one per event order,
+    are kept for the 8,192 most recently used orders: all 5,040 orders
+    of the posets on 7 events fit, in about 9.5 MB.
     A table fills one entry per row mask on its first use, so a one-off
     count on a new order pays for that: about 16 us to relabel 8
     events, 20 us for 12 and 85 us for 50, against 6, 8 and 33 us with
@@ -191,12 +190,11 @@ def _heuristic(pivot: str) -> bool:
 # dedupe placement, over one list of posets), and
 # generate_conflicts runs a single step.  _count_packed counts the
 # conflicts as up-sets of the disjoint-pair poset and shares no code with
-# the recursion, so each checks the other.  A poset with a maximum has one conflict; any other
-# is relabeled (_relabeled, through one lazily filled table per event
-# order, _relabel_table) and its count memoized on that copy
-# (_count_upsets), so the isomorphic posets that relabel alike are
-# counted once: 4,467 counts and 600 tables for the 104,637 posets on
-# 6 events that have no maximum.
+# the recursion, so each checks the other.  Each poset is relabeled
+# (_relabeled, through one lazily filled table per event order,
+# _relabel_table) and its count memoized on that copy (_count_upsets),
+# so the isomorphic posets that relabel alike are counted once: 4,824
+# counts and 720 tables for the 130,023 posets on 6 events.
 # ---------------------------------------------------------------------------
 
 
@@ -371,8 +369,8 @@ def _relabeled(rows) -> tuple[int, ...]:
     return tuple([table[rows[e]] for e in order])
 
 
-# Sized so that the 4,320 event orders met among the posets on 7 events
-# all fit: a table is filled once per order, not once per poset.
+# Sized so that the 5,040 event orders met among the posets on 7 events
+# (all 7! of them) fit: a table is filled once per order, not once per poset.
 @lru_cache(maxsize=1 << 13)
 def _relabel_table(order: tuple[int, ...]) -> RowTable:
     """Row mask over the old indices -> the same row over the positions in order.
@@ -386,12 +384,7 @@ def _relabel_table(order: tuple[int, ...]) -> RowTable:
 
 def _count_packed(rows) -> int:
     """Number of allowed conflicts of rows, counted once per relabeled copy."""
-    if reduce(and_, rows, -1):
-        # Rows sharing a bit mean a maximum, so no pair is disjoint and the
-        # empty conflict is the only one (25,386 of the 130,023 posets on 6
-        # events), with no relabeling.
-        return 1
-    return _count_upsets(_relabeled(rows))
+    return _count_upsets(_relabeled(rows)) if rows else 1
 
 
 @lru_cache(maxsize=1 << 17)
@@ -408,7 +401,7 @@ def _count_upsets(key: tuple[int, ...]) -> int:
     pairs above it forced.  The loop is flat, so no recursion depth
     grows with the number of pairs.
     """
-    n = len(key)  # >= 2: _count_packed answers smaller posets itself
+    n = len(key)  # >= 1: _count_packed answers the empty poset itself
     stride = n + 1
     # row * k & m moves bit c of an n-bit row to bit c*(n+1).  By the
     # geometric series, k has bits c*n and m bits c*(n+1), for c < n.

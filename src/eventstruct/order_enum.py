@@ -57,7 +57,6 @@ def _extend_rows(rows: RowTuple, k: int) -> list[RowTuple]:
     """
     kbit = 1 << k
     ups = _closed_masks(rows)
-    betas_by_need: dict[int, list[RowTuple]] = {}
     out = []
     for alpha in _closed_masks(columns(rows)):
         stem = list(rows)
@@ -65,11 +64,8 @@ def _extend_rows(rows: RowTuple, k: int) -> list[RowTuple]:
         for i in bits(alpha):
             stem[i] |= kbit
             need &= rows[i]
-        betas = betas_by_need.get(need)
-        if betas is None:
-            betas = betas_by_need[need] = [(beta | kbit,) for beta in ups if not beta & ~need]
         stem = tuple(stem)
-        out += [stem + beta for beta in betas]
+        out += [stem + (beta | kbit,) for beta in ups if not beta & ~need]
     return out
 
 

@@ -247,12 +247,11 @@ def test_packed_count_matches_list_length_at_five():
 
 
 def test_posets_with_a_maximum_have_only_the_empty_conflict(monkeypatch):
-    # rows sharing a bit give a maximum, so no pair is disjoint; these
-    # posets need neither the relabeled copy nor a pair table
+    # rows sharing a bit give a maximum, so no pair is disjoint; listing
+    # these posets needs no pair table
     def unused(*args):
         raise AssertionError("called for a poset with a maximum")
 
-    monkeypatch.setattr(conflicts, "_relabeled", unused)
     monkeypatch.setattr(conflicts, "_pair_table", unused)
     for n in range(1, 6):
         with_maximum = [rows for rows in order_enum._poset_rows(n) if reduce(and_, rows)]
@@ -328,10 +327,11 @@ def test_count_is_memoized_on_the_relabeled_copy():
     posets = list(order_enum._poset_rows(5))
     assert len(posets) == 4231
     assert sum(map(conflicts._count_packed, posets)) == 41099
-    # isomorphic posets that relabel alike share one count
-    assert conflicts._count_upsets.cache_info().misses < len(posets) / 4
-    # and the relabelings share one table per event order: at most 5! of them
-    assert conflicts._relabel_table.cache_info().misses <= 120
+    # isomorphic posets that relabel alike share one count, those with a
+    # maximum included
+    assert conflicts._count_upsets.cache_info().misses == 357
+    # and the relabelings share one table per event order: all 5! of them
+    assert conflicts._relabel_table.cache_info().misses == 120
 
 
 def test_bench_variants_match_the_count_per_poset():
