@@ -54,8 +54,8 @@ def choose_pivot(p: Rel) -> PivotResult:
 
     This is the default pivot of allowed_conflicts.  It does not make the
     recursion faster: counting every structure at n = 6 through the
-    recursion (bench --n 6, dedupe final) took 12.43 s with it against
-    10.17 s with choose_pivot_first (one run each, CPython 3.11 on a
+    recursion (bench --n 6, dedupe final) took 4.36 s with it against
+    4.29 s with choose_pivot_first (one run each, CPython 3.11 on a
     2-core host).  Raises ValueError unless p is a partial order on
     natural-number ids.
     """
@@ -103,7 +103,8 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
     conf = [0] * len(rows)
     for x, y in c:
         conf[index[x]] |= 1 << index[y]
-    step = _step(rows, cover_rows(rows), (1 << len(rows)) - 1, k, immediate_only)
+    succ = cover_rows(rows)[k] if immediate_only else rows[k] & ~(1 << k)
+    step = (k, succ, ((1 << len(rows)) - 1) ^ 1 << k)
     table = _pair_table(ids)
     return [_unpack_conflict(ext, table) for ext in _grow([tuple(conf)], [step], rows)]
 
@@ -176,18 +177,17 @@ def _heuristic(pivot: str) -> bool:
 # (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
 # bitmask rows over the same indices.
 #
-# _chain yields the pivot steps (_step), first pivot first, from one cover
-# pass per poset (relations.cover_rows), and _grow is the one level loop
-# over them: it keeps each conflict as its own Y = {} extension and
-# builds a step's Ys once per distinct base.  _conflicts_packed lists the
-# conflicts by extending, through the first step, the list of the rows
-# that pivot leaves, which the caller's memo may hold: es_enum keeps one
-# dict per stream, which 3,136 of the 4,231 posets on 5 events and 78,113
-# of the 130,023 on 6 find filled.  A found list is popped and stored
-# again here, so the dict's first key is the least recently used, and
-# es_enum trims the dict to its bound after each poset.  _count_variant
-# counts the conflicts for the bench (every level built, under each
-# dedupe placement, over one list of posets), and
+# _chain yields the pivot steps, first pivot first, from one cover pass
+# per poset (relations.cover_rows), and _grow is the one level loop over
+# them: it keeps each conflict as its own Y = {} extension and builds a
+# step's Ys once per distinct base.  _conflicts_packed lists the conflicts
+# by extending, through the first step, the list of the rows that pivot
+# leaves, which the caller's memo may hold: es_enum keeps one dict per
+# stream, which 3,128 of the 4,231 posets on 5 events and 77,890 of the
+# 130,023 on 6 find filled.  A list is stored here only when it is made,
+# and es_enum trims the dict, oldest first, to its bound after each
+# poset.  _count_variant counts the conflicts for the bench (every level
+# built, under each dedupe placement, over one list of posets), and
 # generate_conflicts runs a single step.  _count_packed counts the
 # conflicts as up-sets of the disjoint-pair poset and shares no code with
 # the recursion, so each checks the other.  Each poset is relabeled
@@ -240,29 +240,21 @@ def _unpack_conflict(conf: Sequence[int], table: list[RowTable]) -> Rel:
     return frozenset().union(*map(getitem, table, conf))
 
 
-def _step(rows, covers, s: int, m: int, immediate_only: bool) -> tuple[int, int, int]:
-    """Step (m, base_succ, s1) adding m, minimal in the up-set s, to s1 = s - {m}.
-
-    The base meets the conflict rows of base_succ: m's immediate
-    successors (covers[m]), or with immediate_only=False all its strict
-    ones.  Either is 0 exactly when m has no strict successor.
-    """
-    s1 = s & ~(1 << m)
-    return m, covers[m] if immediate_only else rows[m] & s1, s1
-
-
 def _chain(rows, heuristic: bool, immediate_only: bool, covers=None) -> Iterator[tuple]:
-    """Pivot steps (see _step), first pivot first, each made when it is taken.
+    """Pivot steps (m, base_succ, s1), first pivot first, each made when it is taken.
 
-    Each step removes a minimal element of the events s still left, so s
-    stays an up-set, and an element of s keeps all its successors in s:
-    one cover pass (covers, or cover_rows(rows) if None) serves every
-    step.  The pivot is the first element of s in one fixed order that is
+    A step adds m, minimal in the events s still left, to s1 = s - {m}.
+    Its base meets the conflict rows of base_succ: m's immediate (or with
+    immediate_only=False, all strict) successors, 0 iff m has none.  s
+    stays an up-set, so its elements keep all their successors in it: one
+    cover pass (covers, or cover_rows(rows) if None) serves every step.
+    The pivot is the first element of s in one fixed order that is
     minimal in s: most immediate successors first, smallest index on
     ties, or by index alone if not heuristic.
     """
     if covers is None:
         covers = cover_rows(rows)
+    succ = covers if immediate_only else [row & ~(1 << i) for i, row in enumerate(rows)]
     cols = columns(rows)
     order = list(range(len(rows)))
     if heuristic:
@@ -272,9 +264,8 @@ def _chain(rows, heuristic: bool, immediate_only: bool, covers=None) -> Iterator
         for m in order:
             if cols[m] & s == 1 << m:
                 break  # m is in s, and no other event of s is below it
-        step = _step(rows, covers, s, m, immediate_only)
-        yield step
-        s = step[2]
+        s &= ~(1 << m)
+        yield m, succ[m], s
 
 
 def _images(base: int, rows) -> list[int]:
@@ -338,8 +329,8 @@ def _conflicts_packed(
     sub_lists, if given, is a dict memo of those lists by sub, for one
     pivot rule and one immediate_only: es_enum passes one per stream,
     where posets that differ only in their first pivot's row share one
-    sub.  The list of sub is popped and stored again, so the dict's
-    order puts the least recently used first; the owner trims it.
+    sub.  A list is stored only when it is made, so the dict's order
+    puts the oldest first; the owner decides what to evict.
     """
     steps = _chain(rows, heuristic, immediate_only, covers)
     first = next(steps, None)
@@ -349,10 +340,9 @@ def _conflicts_packed(
         sub_lists = {}  # dropped with this call
     m = first[0]
     sub = (*rows[:m], 0, *rows[m + 1:])
-    listed = sub_lists.pop(sub, None)
+    listed = sub_lists.get(sub)
     if listed is None:
-        listed = _grow([(0,) * len(rows)], [*steps][::-1], rows)
-    sub_lists[sub] = listed
+        listed = sub_lists[sub] = _grow([(0,) * len(rows)], [*steps][::-1], rows)
     return _grow(listed, [first], rows)
 
 

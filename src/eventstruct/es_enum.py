@@ -2,8 +2,8 @@
 
 Event structures are produced lazily, one causality poset at a time.
 Enumeration holds that poset's conflicts and a bounded memo, made for
-its stream alone, of the conflict lists of the posets most recently left
-by a first pivot; counting never materializes structures at all.
+its stream alone, of the conflict lists it last made for the posets a
+first pivot leaves; counting never materializes structures at all.
 Counting can fan out across worker processes; enumeration stays
 sequential and deterministic (posets in enumeration order, conflicts in
 extension order).
@@ -65,9 +65,9 @@ def _by_poset(poset_rows: Iterable) -> Iterator[tuple[Sequence[int], list[int], 
     Each poset's conflicts extend those of the rows its first pivot
     leaves, which many posets of one stream share (see
     conflicts._conflicts_packed).  Those lists are memoized for the
-    stream alone, the _SUB_LISTS most recently used.
+    stream alone, the _SUB_LISTS made last.
     """
-    sub_lists: dict = {}  # insertion order: least recently used first
+    sub_lists: dict = {}  # insertion order: oldest first
     for rows in poset_rows:
         covers = cover_rows(rows)
         confs = conflicts._conflicts_packed(rows, covers=covers, sub_lists=sub_lists)

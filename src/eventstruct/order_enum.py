@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .relations import (
-    BoolMatrix, Rel, bits, columns, is_reflexive_on, is_transitive, matrix_to_rel, set_diag
-)
+from .relations import BoolMatrix, Rel, bits, columns, is_reflexive_on, is_transitive, matrix_to_rel
 
 RowTuple = tuple[int, ...]
 
@@ -99,6 +97,11 @@ def _poset_rows(n: int) -> Iterator[RowTuple]:
     return (rows for rows in _rows_stream(n) if _antisymmetric_rows(rows))
 
 
+def _strict(rows: RowTuple) -> BoolMatrix:
+    """The matrix of rows with every diagonal entry cleared."""
+    return BoolMatrix(len(rows), tuple(row & ~(1 << i) for i, row in enumerate(rows)))
+
+
 def _bools(mask: int, k: int) -> tuple[bool, ...]:
     return tuple(bool((mask >> i) & 1) for i in range(k))
 
@@ -128,12 +131,12 @@ def enumerate_preorders(n: int) -> list[BoolMatrix]:
 
 def enumerate_strict_preorders(n: int) -> list[BoolMatrix]:
     """The preorder matrices with every diagonal entry cleared."""
-    return [set_diag(BoolMatrix(n, rows), False) for rows in _rows_stream(n)]
+    return [_strict(rows) for rows in _rows_stream(n)]
 
 
 def enumerate_strict_posets(n: int) -> list[BoolMatrix]:
     """Strict preorder matrices with no mutually-true off-diagonal pair."""
-    return [set_diag(BoolMatrix(n, rows), False) for rows in _poset_rows(n)]
+    return [_strict(rows) for rows in _poset_rows(n)]
 
 
 def enumerate_posets(n: int) -> list[Rel]:

@@ -18,23 +18,9 @@ from typing import Callable, Iterable, Sequence
 Pair = tuple[int, int]
 Rel = frozenset[Pair]
 
-def domain_of(r: Rel) -> set[int]:
-    return {x for x, _ in r}
-
-
-def range_of(r: Rel) -> set[int]:
-    return {y for _, y in r}
-
-
 def field_of(r: Rel) -> set[int]:
     """Union of domain and range."""
     return {e for pair in r for e in pair}
-
-
-def image(r: Rel, s: Iterable[int]) -> set[int]:
-    """Image of the set s through r: {y | exists x in s with (x, y) in r}."""
-    s = set(s)
-    return {y for x, y in r if x in s}
 
 
 def inverse(r: Rel) -> Rel:
@@ -96,12 +82,6 @@ def remove_element(p: Rel, m: int) -> Rel:
     return frozenset((x, y) for x, y in p if x != m and y != m)
 
 
-def minimal_elements(p: Rel) -> set[int]:
-    """Elements of dom(p) with no strictly smaller element.  p must be a partial order."""
-    pred = _image_map(inverse(p))
-    return {m for m in domain_of(p) if pred.get(m, set()) <= {m}}
-
-
 def covering_relation(p: Rel) -> Rel:
     """Transitive reduction of the finite partial order p.
 
@@ -115,25 +95,6 @@ def covering_relation(p: Rel) -> Rel:
         for x, z in p
         if x != z and all(y == x or y == z for y in succ[x] & pred[z])
     )
-
-
-def immediate_successors(p: Rel, m: int) -> set[int]:
-    """Events covering m in the partial order p."""
-    return image(covering_relation(p), {m})
-
-
-def reflexive_transitive_closure(r: Rel, carrier: Iterable[int]) -> Rel:
-    """Least relation containing r that is reflexive on carrier and transitive."""
-    carrier = set(carrier)
-    if not field_of(r) <= carrier:
-        raise ValueError("field of the relation must be inside the carrier")
-    pairs = set(r) | {(x, x) for x in carrier}
-    while True:
-        succ = _image_map(frozenset(pairs))
-        new = {(x, z) for x, y in pairs for z in succ.get(y, ()) if (x, z) not in pairs}
-        if not new:
-            return frozenset(pairs)
-        pairs |= new
 
 
 def _image_map(r: Rel) -> dict[int, set[int]]:
@@ -257,25 +218,6 @@ def rows_to_rel(rows: Sequence[int], ids: Sequence[int]) -> Rel:
 def matrix_to_rel(a: BoolMatrix) -> Rel:
     """Pairs (i, j) for every true entry of a."""
     return rows_to_rel(a.rows, range(a.order))
-
-
-def rel_to_matrix(r: Rel, n: int) -> BoolMatrix:
-    """Adjacency matrix of r over {0..n-1}; rejects ids outside that range."""
-    rows = [0] * n
-    for x, y in r:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"pair ({x}, {y}) outside carrier 0..{n - 1}")
-        rows[x] |= 1 << y
-    return BoolMatrix(n, tuple(rows))
-
-
-def set_diag(a: BoolMatrix, value: bool) -> BoolMatrix:
-    """Copy of a with every diagonal entry set to value."""
-    if value:
-        rows = tuple(row | (1 << i) for i, row in enumerate(a.rows))
-    else:
-        rows = tuple(row & ~(1 << i) for i, row in enumerate(a.rows))
-    return BoolMatrix(a.order, rows)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,8 @@ from eventstruct.order_enum import (
     enumerate_strict_preorders,
     valid_extensions,
 )
-from eventstruct.relations import (
-    EventStructure,
-    covering_relation,
-    field_of,
-    matrix_to_rel,
-    reflexive_transitive_closure,
-)
+from eventstruct.relations import EventStructure, covering_relation, field_of, matrix_to_rel
+from spec import reflexive_transitive_closure
 from test_order_enum import brute_force_extensions
 
 PREORDER_COUNTS = [1, 1, 4, 29, 355, 6942, 209527]

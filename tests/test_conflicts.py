@@ -19,14 +19,8 @@ from eventstruct.conflicts import (
 from eventstruct.es_enum import enumerate_event_structures
 from eventstruct.oracle import brute_force_conflicts
 from eventstruct.order_enum import enumerate_posets
-from eventstruct.relations import (
-    bits,
-    is_event_structure,
-    minimal_elements,
-    reflexive_transitive_closure,
-    remove_element,
-    rows_to_rel,
-)
+from eventstruct.relations import bits, is_event_structure, remove_element, rows_to_rel
+from spec import minimal_elements, reflexive_transitive_closure
 
 CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
 ANTICHAIN2 = frozenset({(0, 0), (1, 1)})
@@ -229,6 +223,16 @@ def test_full_successor_base_gives_the_same_set():
             assert set(allowed_conflicts(p, immediate_only=False)) == set(
                 allowed_conflicts(p)
             )
+
+
+def test_full_successor_base_gives_the_same_list():
+    # and the same order: each step's base is the same set either way
+    for n in range(6):
+        for rows in order_enum._poset_rows(n):
+            for heuristic in (True, False):
+                default = conflicts._conflicts_packed(rows, heuristic=heuristic)
+                full = conflicts._conflicts_packed(rows, heuristic=heuristic, immediate_only=False)
+                assert full == default, (rows, heuristic)
 
 
 def test_count_matches_list_length():

@@ -85,7 +85,7 @@ def test_memoized_lists_equal_the_per_poset_lists(monkeypatch):
                         assert [confs for _, _, confs in streamed] == alone
 
 
-def test_memo_evicts_the_least_recently_used(monkeypatch):
+def test_memo_evicts_the_oldest_first(monkeypatch):
     # On 3 events: the antichain, the chain 0 < 1 < 2, and 1 < 2 beside 0
     # leave these subs after their first pivots (0, 0 and 1).
     antichain, chain, beside = (1, 2, 4), (7, 6, 4), (1, 6, 4)
@@ -100,7 +100,7 @@ def test_memo_evicts_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(conflicts, "_conflicts_packed", recorded)
     monkeypatch.setattr(es_enum, "_SUB_LISTS", 2)
     held, values = [], []
-    posets = [antichain, chain, antichain, beside, chain]
+    posets = [antichain, chain, antichain, beside, chain, antichain]
     for rows, _, confs in es_enum._by_poset(posets):
         assert confs == listed(rows)
         held.append(list(memos[-1]))
@@ -108,12 +108,14 @@ def test_memo_evicts_the_least_recently_used(monkeypatch):
     assert held == [
         [subs[antichain]],
         [subs[antichain], subs[chain]],
-        [subs[chain], subs[antichain]],  # a hit moves its sub to the end
-        [subs[antichain], subs[beside]],  # the chain's, least recently used, is gone
-        [subs[beside], subs[chain]],
+        [subs[antichain], subs[chain]],  # a hit leaves the order as it is
+        [subs[chain], subs[beside]],  # the antichain's, the oldest, is gone, though just used
+        [subs[chain], subs[beside]],
+        [subs[beside], subs[antichain]],
     ]
     assert values[2] is values[0]  # the antichain's sub was found, not listed again
-    assert values[4] is not values[1]  # the chain's was listed again after its eviction
+    assert values[4] is values[1]  # so was the chain's, which outlived it
+    assert values[5] is not values[0]  # the antichain's was listed again after its eviction
 
 
 def test_each_stream_has_its_own_memo(monkeypatch):
@@ -166,19 +168,6 @@ def test_workers_must_be_positive(monkeypatch):
     for workers in (1.5, "2", True):
         with pytest.raises(ValueError, match="workers must be an int >= 1"):
             count_event_structures(5, workers=workers)
-
-
-def test_variants_agree():
-    posets = list(order_enum._poset_rows(4))
-    for dedupe in ("naive", "late", "final"):
-        for heuristic in (False, True):
-            counts = (
-                conflicts._count_variant(rows, heuristic=heuristic, dedupe=dedupe)
-                for rows in posets
-            )
-            assert sum(counts) == 916
-    with pytest.raises(ValueError):
-        conflicts._count_variant(posets[0], heuristic=True, dedupe="bogus")
 
 
 def test_counts_up_to():
