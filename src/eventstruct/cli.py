@@ -31,6 +31,10 @@ OEIS_LONG_MAX_N = 7
 BENCH_MAX_N = 6
 CANONICAL_MAX_N = 6  # at 7 the sort would hold 6.1-9.5 M keys
 PROGRESS_MIN_N = 5
+# Entries of each per-stream conflict memo of _emit: every conflict on 6
+# events (2 ** 15 of them), so nothing is evicted at n <= 6.  The 7-event
+# antichain alone has 2,097,152 conflicts.
+_CONFLICT_TEXTS = 1 << 15
 
 KINDS = ("preorders", "posets", "es")
 SEQUENCES = ("A000798", "A001035", "A284276")  # the counts of KINDS, by position
@@ -172,13 +176,30 @@ def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[RowTable]:
     return row_tables(range(n), lambda i: [piece(i, j) for j in range(n)], "".join)
 
 
+class _Memo(dict):
+    """Packed conflict -> make(conflict), made on first use; emptied when full."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[tuple[int, ...]], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, conf: tuple[int, ...]) -> str:
+        if len(self) >= _CONFLICT_TEXTS:
+            self.clear()
+        value = self[conf] = self.make(conf)
+        return value
+
+
 def _emit(args, out: IO[str]) -> None:
     """Write one record per (causality, conflict) straight from the packed rows.
 
     A relation's text is the join of its rows' texts, looked up per (row
-    index, row mask), and each causality is formatted once for all its
-    conflicts.  Rows then bits ascending is the order of the sorted pair
-    list, so every record lists its pairs sorted.
+    index, row mask).  Each causality is formatted once for all its
+    conflicts, and each distinct conflict once per stream (a _Memo).
+    Rows then bits ascending is the order of the sorted pair list, so
+    every record lists its pairs sorted.
     """
     kind, n, fmt = args.kind, args.n, args.format
     rows_stream = order_enum._rows_stream(n) if kind == "preorders" else order_enum._poset_rows(n)
@@ -204,22 +225,26 @@ def _emit(args, out: IO[str]) -> None:
         dashed = _row_texts(
             n, lambda i, j: f"  {i} -> {j} [style=dashed, dir=none];\n" if i < j else ""
         )
+        conf_texts = _Memo(lambda conf: "".join(map(getitem, dashed, conf)))
         vertices = "".join(f"  {v};\n" for v in range(n))
-    elif fmt == "jsonl":
-        # Each pair's text leads with its separator; cut drops the first one.
-        texts, cut = _row_texts(n, lambda i, j: f",[{i},{j}]"), 1
     else:
-        texts, cut = _row_texts(n, lambda i, j: f", ({i},{j})"), 2
+        # Each pair's text leads with its separator; cut drops the first one.
+        if fmt == "jsonl":
+            texts, cut = _row_texts(n, lambda i, j: f",[{i},{j}]"), 1
+        else:
+            texts, cut = _row_texts(n, lambda i, j: f", ({i},{j})"), 2
+        conf_texts = _Memo(lambda conf: "".join(map(getitem, texts, conf))[cut:])
+    if args.canonical:
+        conf_key = _Memo(key).__getitem__
 
     index = 0
     for rows, covers, confs in groups:
         if args.canonical:
-            confs = sorted(confs, key=key)
+            confs = sorted(confs, key=conf_key)
         if fmt == "dot":
             head = vertices + "".join(map(getitem, arcs, covers))
             for conf in confs:
-                dashes = "".join(map(getitem, dashed, conf))
-                out.write(f"digraph {kind}_{index} {{\n{head}{dashes}}}\n")
+                out.write(f"digraph {kind}_{index} {{\n{head}{conf_texts[conf]}}}\n")
                 index += 1
             continue
         causality = "".join(map(getitem, texts, rows))[cut:]
@@ -231,7 +256,7 @@ def _emit(args, out: IO[str]) -> None:
         else:
             head, tail = f'{{"n":{n},"causality":[{causality}],"conflict":[', "]}\n"
         for conf in confs:
-            out.write(head + "".join(map(getitem, texts, conf))[cut:] + tail)
+            out.write(head + conf_texts[conf] + tail)
 
 
 def _open_for_write(path: str) -> IO[str] | None:

@@ -157,6 +157,11 @@ PINNED_OUTPUT = {
     ("es", 4, "jsonl", True): "e656c353448a8b0309482efa42193f10f5104634a36b9bb3d2a37dc7c4d2aa78",
     ("es", 4, "dot", False): "0bb205bb8c143424c4292f074dda0d3f314742a6fa2303f8b0757502a2be053c",
     ("es", 4, "dot", True): "1251996e606b203238f66d378ea5b8c99ecd59597035e5c588b4b724a661ae06",
+    # Recorded before each distinct conflict was formatted once per stream;
+    # test_enumerate_matches_a_reference_formatter_at_n5 covers the rest of n = 5.
+    ("es", 5, "dot", False): "ced72d697622b284701da5106ba0e0f487842d648541074a80a6d5df0aa5aea0",
+    ("es", 5, "pairs", True): "da6362d94e1056eb173044fcf0fe03a9f619c07147746126cd9395a5e5048eb3",
+    ("es", 5, "dot", True): "10103431340ba4b98862ec14700305688dd6dfe287adac60f2f69d33ca0a982a",
 }
 
 
@@ -278,6 +283,56 @@ def test_canonical_streams_from_the_first_poset(monkeypatch):
     cli._emit(_enumerate_args("jsonl", True), _Writes(write))
     assert seen_at_first_write == [1]
     assert len(calls) == 219
+
+
+def _counted_memos(monkeypatch) -> list:
+    """Patch cli._Memo to record, per memo made, its misses and largest size."""
+    memos = []
+
+    class Counted(cli._Memo):
+        __slots__ = ("misses", "largest")
+
+        def __init__(self, make):
+            super().__init__(make)
+            self.misses = self.largest = 0
+            memos.append(self)
+
+        def __missing__(self, conf):
+            value = super().__missing__(conf)
+            self.misses += 1
+            self.largest = max(self.largest, len(self))
+            return value
+
+    monkeypatch.setattr(cli, "_Memo", Counted)
+    return memos
+
+
+@pytest.mark.parametrize("fmt", ["pairs", "jsonl", "dot"])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_conflict_memo_is_exact_and_bounded(fmt, canonical, monkeypatch):
+    # Bound 5 against the 64 conflicts on 4 events: every memo empties
+    # again and again, and each record's bytes stay the pinned ones.
+    monkeypatch.setattr(cli, "_CONFLICT_TEXTS", 5)
+    memos = _counted_memos(monkeypatch)
+    out = io.StringIO()
+    cli._emit(_enumerate_args(fmt, canonical), out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == PINNED_OUTPUT[("es", 4, fmt, canonical)]
+    assert len(memos) == 1 + canonical  # the texts, and the sort keys
+    for memo in memos:
+        assert memo.largest == 5
+        assert memo.misses > 64
+
+
+def test_each_distinct_conflict_is_formatted_once(monkeypatch):
+    # The 916 records on 4 events carry all 2 ** C(4, 2) = 64 symmetric
+    # irreflexive relations, and the default bound evicts none of them.
+    memos = _counted_memos(monkeypatch)
+    out = io.StringIO()
+    cli._emit(_enumerate_args("jsonl", False), out)
+    assert out.getvalue().count("\n") == 916
+    [memo] = memos
+    assert memo.misses == len(memo) == 64
 
 
 def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
