@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error or failed worker, 2 guard refusal,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import nullcontext
@@ -63,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "worker processes for es counting (default: available cores); "
-            "capped at the number of cores and at the number of batches of "
+            "worker processes for es counting (default: the CPUs this process "
+            "may use); capped at those CPUs and at the number of chunks of "
             "1,024 order-(n-1) preorders, so n <= 5 counts in one process"
         ),
     )
@@ -146,11 +145,6 @@ def _progress(n: int):
     return report
 
 
-def _default_workers() -> int:
-    """Worker processes when none are asked for: one per core."""
-    return os.cpu_count() or 1
-
-
 def _counter(kind: str, workers: int) -> Callable[[int], int]:
     """The count of kind at n, as a function of n; es counts on workers processes."""
     return {
@@ -164,7 +158,7 @@ def _counter(kind: str, workers: int) -> Callable[[int], int]:
 
 def _cmd_count(args, parser) -> int:
     _check_n(parser, args.n)
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = args.workers if args.workers is not None else es_enum._cores()
     if workers < 1:
         parser.error("--workers must be >= 1")
     print(_counter(args.kind, workers)(args.n))
@@ -351,7 +345,7 @@ def _cmd_oeis(args, parser) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
-    fn = _counter(KINDS[SEQUENCES.index(args.sequence)], _default_workers())
+    fn = _counter(KINDS[SEQUENCES.index(args.sequence)], es_enum._cores())
     for k in range(args.max_n + 1):
         print(f"{k + args.offset} {fn(k)}", flush=True)
     return EXIT_OK

@@ -185,16 +185,16 @@ def _heuristic(pivot: str) -> bool:
 # leaves, which the caller's memo may hold: es_enum keeps one dict per
 # stream, which 3,128 of the 4,231 posets on 5 events and 77,890 of the
 # 130,023 on 6 find filled.  A list is stored here only when it is made,
-# and es_enum trims the dict, oldest first, to its bound after each
-# poset.  _count_variant counts the conflicts for the bench (every level
-# built, under each dedupe placement, over one list of posets), and
-# generate_conflicts runs a single step.  _count_packed counts the
-# conflicts as up-sets of the disjoint-pair poset and shares no code with
-# the recursion, so each checks the other.  Each poset is relabeled
-# (_relabeled, through one lazily filled table per event order,
-# _relabel_table) and its count memoized on that copy (_count_upsets),
-# so the isomorphic posets that relabel alike are counted once: 4,824
-# counts and 720 tables for the 130,023 posets on 6 events.
+# after the oldest is deleted from a dict that holds _SUB_LISTS of them,
+# so no dict ever holds more.  _count_variant counts the conflicts for the
+# bench (every level built, under each dedupe placement, over one list of
+# posets), and generate_conflicts runs a single step.  _count_packed
+# counts the conflicts as up-sets of the disjoint-pair poset and shares no
+# code with the recursion, so each checks the other.  Each poset is
+# relabeled (_relabeled, through one lazily filled table per event order,
+# _relabel_table) and its count memoized on that copy (_count_upsets), so
+# the isomorphic posets that relabel alike are counted once: 4,824 counts
+# and 720 tables for the 130,023 posets on 6 events.
 # ---------------------------------------------------------------------------
 
 
@@ -317,6 +317,13 @@ def _grow(confs: list[tuple[int, ...]], steps, rows, unique=dict.fromkeys) -> li
     return confs
 
 
+# Entries of a sub_lists memo of _conflicts_packed.  Unbounded, an enumerate
+# stream's would hold all 25,386 lists of the posets left by a first pivot at
+# n = 6, where listing the stream then peaks at 46.1 MB RSS against 19.9 MB
+# (in-process, one run each).
+_SUB_LISTS = 1024
+
+
 def _conflicts_packed(
     rows, *, heuristic: bool = True, immediate_only: bool = True, covers=None, sub_lists=None
 ):
@@ -330,7 +337,8 @@ def _conflicts_packed(
     pivot rule and one immediate_only: es_enum passes one per stream,
     where posets that differ only in their first pivot's row share one
     sub.  A list is stored only when it is made, so the dict's order
-    puts the oldest first; the owner decides what to evict.
+    puts the oldest first, and that one is deleted before a store into
+    a dict that holds _SUB_LISTS lists.
     """
     steps = _chain(rows, heuristic, immediate_only, covers)
     first = next(steps, None)
@@ -342,6 +350,8 @@ def _conflicts_packed(
     sub = (*rows[:m], 0, *rows[m + 1:])
     listed = sub_lists.get(sub)
     if listed is None:
+        if len(sub_lists) >= _SUB_LISTS:
+            del sub_lists[next(iter(sub_lists))]
         listed = sub_lists[sub] = _grow([(0,) * len(rows)], [*steps][::-1], rows)
     return _grow(listed, [first], rows)
 

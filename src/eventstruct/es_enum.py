@@ -23,12 +23,7 @@ from .relations import BoolMatrix, EventStructure, cover_rows, matrix_to_rel
 
 ProgressFn = Callable[[int, int], None]
 
-_BATCH_SIZE = 1024  # order-(n-1) parents per batch
-# Entries of an enumerate stream's memo of the conflict lists of the posets
-# left by a first pivot.  Unbounded, it would hold all 25,386 of them at
-# n = 6, where listing the stream then peaks at 46.1 MB RSS against 19.9 MB
-# (in-process, one run each).
-_SUB_LISTS = 1024
+_BATCH_SIZE = 1024  # order-(n-1) parents per pool chunk and per progress line
 
 
 class CountRow(NamedTuple):
@@ -65,15 +60,13 @@ def _by_poset(poset_rows: Iterable) -> Iterator[tuple[Sequence[int], list[int], 
     Each poset's conflicts extend those of the rows its first pivot
     leaves, which many posets of one stream share (see
     conflicts._conflicts_packed).  Those lists are memoized for the
-    stream alone, the _SUB_LISTS made last.
+    stream alone, in one dict that _conflicts_packed keeps within
+    conflicts._SUB_LISTS entries.
     """
-    sub_lists: dict = {}  # insertion order: oldest first
+    sub_lists: dict = {}
     for rows in poset_rows:
         covers = cover_rows(rows)
-        confs = conflicts._conflicts_packed(rows, covers=covers, sub_lists=sub_lists)
-        while len(sub_lists) > _SUB_LISTS:
-            del sub_lists[next(iter(sub_lists))]
-        yield rows, covers, confs
+        yield rows, covers, conflicts._conflicts_packed(rows, covers=covers, sub_lists=sub_lists)
 
 
 def count_event_structures(
@@ -81,13 +74,14 @@ def count_event_structures(
 ) -> int:
     """Number of event structures over {0..n-1}.
 
-    workers > 1 splits the order-(n-1) preorders into batches of 1,024
-    across processes, each extending its own batches; the sum is exact
-    and independent of scheduling.  No more workers start than
-    os.cpu_count() or than there are batches (one up to n = 5).  Workers
-    ignore SIGINT, so Ctrl-C reaches only the calling process.  Raises
-    ValueError, before any preorder is listed, unless n is an int >= 0
-    and workers an int >= 1 (a bool is refused for either).
+    workers > 1 counts on a process pool that takes the order-(n-1)
+    preorders in chunks of 1,024; the sum is exact and independent of
+    scheduling.  No more workers start than the CPUs this process may
+    use or than there are chunks (one up to n = 5).  Workers ignore
+    SIGINT, so Ctrl-C reaches only the calling process.  progress sees
+    (parents done, parents in total) per 1,024 parents and at the end.
+    Raises ValueError, before any preorder is listed, unless n is an int
+    >= 0 and workers an int >= 1 (a bool is refused for either).
     """
     # type() is not isinstance(): bool is a subclass of int.
     if type(workers) is not int or workers < 1:
@@ -108,54 +102,50 @@ def counts_up_to(max_n: int) -> CountTable:
 def _count(
     n: int, *, workers: int = 1, progress: ProgressFn | None = None
 ) -> tuple[int, int, int]:
-    """(preorders, posets, event structures) over {0..n-1}, counted batch by batch.
+    """(preorders, posets, event structures) over {0..n-1}, counted parent by parent.
 
     Every order-n preorder extends one order-(n-1) preorder, so the
-    process that counts a batch of those parents extends it; progress
-    sees (parents done, parents in total).
+    process that counts a parent extends it; a pool takes the parents in
+    chunks of _BATCH_SIZE.  progress sees (parents done, parents in
+    total) at each multiple of _BATCH_SIZE and at the total, whatever
+    order the chunks finish in.
     """
     if type(n) is not int or n < 0:
         raise ValueError("n must be an int >= 0")
     if n == 0:  # no parent order: the one poset () is counted directly
         return 1, 1, conflicts._count_packed(())
     parents = list(order_enum._rows_stream(n - 1))
-    batches = [parents[i:i + _BATCH_SIZE] for i in range(0, len(parents), _BATCH_SIZE)]
-    workers = min(workers, os.cpu_count() or 1, len(batches))
-    preorders = posets = structures = done = 0
+    workers = min(workers, _cores(), -(-len(parents) // _BATCH_SIZE))
+    preorders = posets = structures = 0
     context = nullcontext()
     if workers > 1:
         # Imported only for a pool: it is about a quarter of `import eventstruct`.
         import multiprocessing
 
-        context = multiprocessing.Pool(workers, _ignore_sigint)
+        context = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     with context as pool:
-        mapper = map if pool is None else pool.imap_unordered
-        batch_counts = mapper(partial(_count_batch, k=n - 1), batches)
-        for batch_preorders, batch_posets, batch_structures, extended in batch_counts:
-            preorders += batch_preorders
-            posets += batch_posets
-            structures += batch_structures
-            done += extended
-            if progress is not None:
+        mapper = map if pool is None else partial(pool.imap_unordered, chunksize=_BATCH_SIZE)
+        counts = mapper(partial(_count_parent, k=n - 1), parents)
+        for done, (parent_preorders, parent_posets, parent_structures) in enumerate(counts, 1):
+            preorders += parent_preorders
+            posets += parent_posets
+            structures += parent_structures
+            if progress is not None and (done % _BATCH_SIZE == 0 or done == len(parents)):
                 progress(done, len(parents))
     return preorders, posets, structures
 
 
-def _ignore_sigint() -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _count_batch(parents: list, *, k: int) -> tuple[int, int, int, int]:
-    """(preorders, posets, event structures, parents) over the extensions of the order-k parents."""
-    # Looked up per batch, in the process that counts it, so the module
+def _count_parent(parent: Sequence[int], *, k: int) -> tuple[int, int, int]:
+    """(preorders, posets, event structures) over the extensions of the order-k preorder parent."""
+    # Looked up per parent, in the process that counts it, so the module
     # attributes are the ones that run (the benchmark's traced run wraps them).
-    count = conflicts._count_packed
-    extend, antisymmetric = order_enum._extend_rows, order_enum._antisymmetric_rows
-    preorders = posets = structures = 0
-    for parent in parents:
-        extended = extend(parent, k)
-        children = list(filter(antisymmetric, extended))
-        preorders += len(extended)
-        posets += len(children)
-        structures += sum(map(count, children))
-    return preorders, posets, structures, len(parents)
+    extended = order_enum._extend_rows(parent, k)
+    children = list(filter(order_enum._antisymmetric_rows, extended))
+    return len(extended), len(children), sum(map(conflicts._count_packed, children))

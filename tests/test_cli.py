@@ -29,7 +29,7 @@ def test_count():
     assert run_cli("count", "preorders", "--n", "0").stdout == "1\n"
     assert run_cli("count", "posets", "--n", "3").stdout == "19\n"
     assert run_cli("count", "es", "--n", "3", "--workers", "2").stdout == "41\n"
-    # n = 5 is one batch of the 355 order-4 preorders, so one progress line
+    # n = 5 is one chunk of the 355 order-4 preorders, so one progress line
     result = run_cli("count", "es", "--n", "5")
     assert (result.returncode, result.stdout) == (0, "41099\n")
     assert result.stderr == "progress: 355/355 order-4 preorders extended\n"
@@ -354,13 +354,13 @@ def _fail_count(rows):
     raise RuntimeError("count failed")
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a worker pool")
+@pytest.mark.skipif(es_enum._cores() < 2, reason="needs two CPUs for a worker pool")
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="only forked workers inherit the patched count",
 )
 def test_worker_failure_is_one_stderr_line(monkeypatch, capsys):
-    # batches of 64 parents split the 355 order-4 preorders, so n = 5 uses the pool
+    # chunks of 64 parents split the 355 order-4 preorders, so n = 5 uses the pool
     monkeypatch.setattr(es_enum, "_BATCH_SIZE", 64)
     monkeypatch.setattr(conflicts, "_count_packed", _fail_count)
     code = cli.main(["count", "es", "--n", "5", "--workers", "2"])
@@ -371,7 +371,7 @@ def test_worker_failure_is_one_stderr_line(monkeypatch, capsys):
 
 
 def test_in_process_failure_keeps_its_traceback(monkeypatch):
-    # n = 3 is one batch, so it counts in this process
+    # n = 3 is one chunk, so it counts in this process
     monkeypatch.setattr(conflicts, "_count_packed", _fail_count)
     with pytest.raises(RuntimeError, match="count failed"):
         cli.main(["count", "es", "--n", "3", "--workers", "2"])
@@ -431,7 +431,7 @@ def test_oeis():
 
 
 def test_oeis_counts_on_the_default_workers(monkeypatch, capsys):
-    # the same default as count es: one worker per core
+    # the same default as count es: one worker per CPU this process may use
     calls = []
     count = es_enum.count_event_structures
 
@@ -440,10 +440,23 @@ def test_oeis_counts_on_the_default_workers(monkeypatch, capsys):
         return count(n, **kwargs)
 
     monkeypatch.setattr(es_enum, "count_event_structures", recorded)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(es_enum, "_cores", lambda: 3)
     assert cli.main(["oeis", "A284276", "--max-n", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 1", "1 1", "2 4"]
     assert calls == [3, 3, 3]
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch, capsys):
+    # one CPU allowed on a 4-core host: count es --n 6 counts in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert es_enum._cores() == 1
+    assert cli.main(["count", "es", "--n", "6"]) == 0
+    assert capsys.readouterr().out == "3528258\n"
 
 
 def test_oeis_offset_and_guard():

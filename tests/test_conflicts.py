@@ -1,6 +1,8 @@
 import random
 import time
 from functools import reduce
+from itertools import combinations
+from math import comb, prod
 from operator import and_
 
 import pytest
@@ -560,13 +562,18 @@ def test_listed_conflicts_share_their_pairs():
     assert len({id(pair) for es in stream for pair in es.conflict}) <= 9
 
 
+def _dag(draw, k):
+    # a random DAG on the events 0..k-1, each edge from a lower index to a higher
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return frozenset(e for b, e in enumerate(pairs) if chosen >> b & 1)
+
+
 @st.composite
 def sparse_posets(draw):
     # a random DAG on k events, closed transitively, on shuffled ids from 0..10**6
     k = draw(st.integers(0, 4))
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
-    edges = frozenset(e for b, e in enumerate(pairs) if chosen >> b & 1)
+    edges = _dag(draw, k)
     ids = draw(st.sets(st.integers(0, 10**6), min_size=k, max_size=k))
     ids = draw(st.permutations(sorted(ids)))
     return _relabel(reflexive_transitive_closure(edges, range(k)), ids)
@@ -582,6 +589,61 @@ def test_sparse_shuffled_ids_match_brute_force(p):
     assert count_allowed_conflicts(p) == conflicts._count_packed(rows) == len(listed)
     if p:
         assert choose_pivot(p).pivot in minimal_elements(p)
+
+
+def _sparse_ids(draw, k):
+    # k distinct ids in shuffled order, some small and some above 2**40
+    ids = draw(st.sets(st.integers(0, 10**6) | st.integers(2**40, 2**64), min_size=k, max_size=k))
+    return draw(st.permutations(sorted(ids)))
+
+
+@st.composite
+def chain_unions(draw):
+    """(lengths, a disjoint union of chains of those lengths), 12 events at most, on sparse ids."""
+    # Not 20: the up-set count's cost depends on the order of the ids, and on
+    # some orders lengths (7, 3, 1, 3, 2, 1) took 9.8 s and (3, 2, 3, 1, 2, 1)
+    # 1.1 s.  Larger unions wait for a count that multiplies over the
+    # components of the disjoint pairs.
+    lengths, left = [], draw(st.integers(0, 12))
+    while left:
+        lengths.append(draw(st.integers(1, left)))
+        left -= lengths[-1]
+    ids = iter(_sparse_ids(draw, sum(lengths)))
+    p = set()
+    for length in lengths:
+        chain = [next(ids) for _ in range(length)]
+        p |= {(x, y) for i, x in enumerate(chain) for y in chain[i:]}
+    return lengths, frozenset(p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(chain_unions())
+def test_chain_unions_count_lattice_paths(drawn):
+    # The disjoint pairs of a union of chains of lengths l_1..l_k form one
+    # l_i x l_j grid per i < j, and an a x b grid has C(a + b, a) up-sets.
+    lengths, p = drawn
+    assert count_allowed_conflicts(p) == prod(comb(a + b, a) for a, b in combinations(lengths, 2))
+
+
+@st.composite
+def ordinal_sums(draw):
+    """(P + Q with all of P below all of Q, Q alone), up to 5 + 5 events, on sparse ids."""
+    kp, kq = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    top = range(kp, kp + kq)
+    q = frozenset((x + kp, y + kp) for x, y in _dag(draw, kq))
+    below = {(x, y) for x in range(kp) for y in top}
+    summed = reflexive_transitive_closure(_dag(draw, kp) | q | below, range(kp + kq))
+    ids = _sparse_ids(draw, kp + kq)
+    return _relabel(summed, ids), _relabel(reflexive_transitive_closure(q, top), ids)
+
+
+@settings(deadline=None, max_examples=60)
+@given(ordinal_sums())
+def test_ordinal_sums_count_as_their_top(drawn):
+    # Q nonempty: every pair that meets P has an upper bound in Q, so P + Q
+    # has the disjoint pairs of Q alone
+    summed, q = drawn
+    assert count_allowed_conflicts(summed) == count_allowed_conflicts(q)
 
 
 def test_count_reaches_posets_listing_cannot():

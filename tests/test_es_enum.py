@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 import signal
 import sys
 
@@ -13,7 +12,7 @@ from eventstruct.es_enum import (
     enumerate_event_structures,
 )
 from eventstruct.oracle import brute_force_event_structures
-from eventstruct.relations import EventStructure, cover_rows, rows_to_rel
+from eventstruct.relations import EventStructure, bits, cover_rows, rows_to_rel
 
 GOLDEN_TWO = {
     EventStructure({(0, 0), (0, 1), (1, 1)}, frozenset()),
@@ -56,29 +55,35 @@ def test_order_is_posets_then_conflicts():
     assert streamed == composed
 
 
-def _memoized(posets, heuristic, size):
+class _Bounded(dict):
+    # a memo that fails if a store would take it past conflicts._SUB_LISTS
+    def __setitem__(self, key, value):
+        assert len(self) < conflicts._SUB_LISTS
+        super().__setitem__(key, value)
+
+
+def _memoized(posets, heuristic):
     # the memo protocol of _by_poset, under either pivot
-    memo, listed = {}, []
-    for rows in posets:
-        listed.append(conflicts._conflicts_packed(rows, heuristic=heuristic, sub_lists=memo))
-        while len(memo) > size:
-            del memo[next(iter(memo))]
-    return listed
+    memo = _Bounded()
+    return [
+        conflicts._conflicts_packed(rows, heuristic=heuristic, sub_lists=memo) for rows in posets
+    ]
 
 
 def test_memoized_lists_equal_the_per_poset_lists(monkeypatch):
     # In stream order and in --canonical order, under both pivots, with a
     # memo of one entry (an eviction on every new sub-poset) and the default.
+    default = conflicts._SUB_LISTS
     for n in range(6):
         stream = list(order_enum._poset_rows(n))
         canonical = sorted(stream, key=lambda rows: sorted(rows_to_rel(rows, range(n))))
         for posets in (stream, canonical):
             for heuristic in (True, False):
                 alone = [conflicts._conflicts_packed(rows, heuristic=heuristic) for rows in posets]
-                for size in (1, es_enum._SUB_LISTS):
-                    assert _memoized(posets, heuristic, size) == alone, (n, heuristic, size)
+                for size in (1, default):
+                    monkeypatch.setattr(conflicts, "_SUB_LISTS", size)
+                    assert _memoized(posets, heuristic) == alone, (n, heuristic, size)
                     if heuristic:
-                        monkeypatch.setattr(es_enum, "_SUB_LISTS", size)
                         streamed = list(es_enum._by_poset(posets))
                         assert [r for r, _, _ in streamed] == posets
                         assert [c for _, c, _ in streamed] == list(map(cover_rows, posets))
@@ -98,7 +103,7 @@ def test_memo_evicts_the_oldest_first(monkeypatch):
         return listed(rows, **kwargs)
 
     monkeypatch.setattr(conflicts, "_conflicts_packed", recorded)
-    monkeypatch.setattr(es_enum, "_SUB_LISTS", 2)
+    monkeypatch.setattr(conflicts, "_SUB_LISTS", 2)
     held, values = [], []
     posets = [antichain, chain, antichain, beside, chain, antichain]
     for rows, _, confs in es_enum._by_poset(posets):
@@ -138,6 +143,23 @@ def test_each_stream_has_its_own_memo(monkeypatch):
     memos.clear()
     counts = [sys.getrefcount(memo) for memo in held]
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_every_listing_at_five_is_certified():
+    # Each listed conflict is allowed, no two are equal, and there are as
+    # many as the up-set count: so each list is exactly the allowed
+    # conflicts.  The rows are read through relations.bits alone, sharing
+    # no code with conflicts._grow or _count_upsets.
+    for rows, _, confs in es_enum._by_poset(order_enum._poset_rows(5)):
+        assert len(set(confs)) == len(confs) == conflicts._count_packed(rows)
+        for conf in confs:
+            assert len(conf) == len(rows)
+            for a, row in enumerate(conf):
+                assert a not in bits(row)  # irreflexive
+                for b in bits(row):
+                    assert a in bits(conf[b])  # symmetric
+                    assert rows[a] & rows[b] == 0  # disjoint: no common upper bound
+                    assert not bits(rows[b] & ~row)  # inherited by all above b
 
 
 def test_counts():
@@ -228,17 +250,17 @@ def test_no_pool_for_a_single_batch(monkeypatch):
     assert count_event_structures(4, workers=4) == 916
 
 
-def test_workers_are_capped_at_the_cores(monkeypatch):
-    # batches of 4 parents give 8 batches at n = 4, so only the core cap
-    # keeps a huge request from starting that many
-    sizes = []
-    initializers = []
-    batches = []
+def _fake_pool(pools, finishing=list):
+    """A multiprocessing.Pool stand-in that runs its chunks in this process.
+
+    Each pool made is appended to pools; the chunks finish in the order
+    finishing(chunks) gives.
+    """
 
     class FakePool:
-        def __init__(self, processes, initializer=None):
-            sizes.append(processes)
-            initializers.append(initializer)
+        def __init__(self, processes, initializer=None, initargs=()):
+            self.processes, self.initializer, self.initargs = processes, initializer, initargs
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -246,24 +268,45 @@ def test_workers_are_capped_at_the_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, fn, items):
-            batches.extend(items)
-            return map(fn, batches)
+        def imap_unordered(self, fn, items, chunksize=1):
+            self.items, self.chunksize = list(items), chunksize
+            chunks = [self.items[i:i + chunksize] for i in range(0, len(self.items), chunksize)]
+            return (fn(item) for chunk in finishing(chunks) for item in chunk)
 
+    return FakePool
+
+
+def test_workers_are_capped_at_the_cores(monkeypatch):
+    # chunks of 4 parents give 8 chunks at n = 4, so only the core cap
+    # keeps a huge request from starting that many
+    pools = []
     monkeypatch.setattr(es_enum, "_BATCH_SIZE", 4)
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(es_enum, "_cores", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "Pool", _fake_pool(pools))
     assert count_event_structures(4, workers=10**6) == 916
-    cores = os.cpu_count() or 1
-    assert sizes == ([cores] if cores > 1 else [])
-    if cores > 1:
-        # the workers get the order-3 preorders as parents, not the posets
-        assert len(batches) == 8
-        assert [rows for batch in batches for rows in batch] == list(order_enum._rows_stream(3))
+    [pool] = pools
+    assert pool.processes == 3
+    # the workers get the order-3 preorders as parents, not the posets, 4 to a chunk
+    assert pool.chunksize == es_enum._BATCH_SIZE == 4
+    assert pool.items == list(order_enum._rows_stream(3))
     # workers ignore Ctrl-C; only the parent reports it
-    assert all(init is es_enum._ignore_sigint for init in initializers)
+    assert pool.initializer is signal.signal
+    assert pool.initargs == (signal.SIGINT, signal.SIG_IGN)
     handler = signal.getsignal(signal.SIGINT)
     try:
-        es_enum._ignore_sigint()
+        pool.initializer(*pool.initargs)
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.signal(signal.SIGINT, handler)
+
+
+def test_pool_progress_is_per_chunk_in_any_finishing_order(monkeypatch):
+    # the last chunk, of one parent, finishes first; progress still comes
+    # at each multiple of the chunk size and then at the total
+    pools, seen = [], []
+    monkeypatch.setattr(es_enum, "_BATCH_SIZE", 4)
+    monkeypatch.setattr(es_enum, "_cores", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", _fake_pool(pools, lambda chunks: chunks[::-1]))
+    assert count_event_structures(4, workers=2, progress=lambda *args: seen.append(args)) == 916
+    assert len(pools) == 1
+    assert seen == [(done, 29) for done in range(4, 29, 4)] + [(29, 29)]
