@@ -105,8 +105,7 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
         conf[index[x]] |= 1 << index[y]
     succ = cover_rows(rows)[k] if immediate_only else rows[k] & ~(1 << k)
     step = (k, succ, ((1 << len(rows)) - 1) ^ 1 << k)
-    table = _pair_table(ids)
-    return [_unpack_conflict(ext, table) for ext in _grow([tuple(conf)], [step], rows)]
+    return _unpack_extensions([tuple(conf)], step, rows, ids)
 
 
 def allowed_conflicts(
@@ -116,21 +115,25 @@ def allowed_conflicts(
 
     The relations of one call share their pair tuples, which are
     immutable: a call on k events makes at most k*k of them, a row's k
-    at the first conflict that has that row nonempty.  For the 6-event
-    antichain on sparse ids (32,768 conflicts) the call took 143-156 ms
-    against 379-415 ms when every conflict made fresh tuples, and its
-    result holds 25.1 MiB against 56.6 MiB (medians of 7 calls in each
-    of three alternating processes; tracemalloc; 2-vCPU host, CPython
-    3.11.7).
+    at its first nonempty use; with fresh tuples per conflict the result
+    below held 56.6 MiB.  Each conflict of the poset without the first
+    pivot m is unpacked once, and each extension is that set joined with
+    {m} x Y u Y x {m} (see _unpack_extensions).  For the 6-event
+    antichain on sparse ids (32,768 conflicts) the call takes 39-44 ms
+    against 95-144 ms when each conflict was unpacked as the union of
+    its k rows; its result holds 25.3 MiB (then 25.1 MiB) and the call
+    peaks at 25.4 MiB (then 28.0 MiB), since the last level is never
+    packed (medians of 7 calls in each of three alternating processes;
+    tracemalloc; 2-vCPU host, CPython 3.11.7).
     """
     rows, ids = _packed(p)
-    packed = _conflicts_packed(
-        rows, heuristic=_heuristic(pivot), immediate_only=immediate_only
-    )
-    if len(packed) == 1:
-        return [frozenset()]  # the empty conflict, always allowed, is the only one
-    table = _pair_table(ids)
-    return [_unpack_conflict(conf, table) for conf in packed]
+    steps = _chain(rows, _heuristic(pivot), immediate_only)
+    first = next(steps, None)
+    if first is None:
+        return [frozenset()]  # no events: the empty conflict only
+    # The list of the rows the first pivot leaves, as _conflicts_packed makes it.
+    listed = _grow([(0,) * len(rows)], [*steps][::-1], rows)
+    return _unpack_extensions(listed, first, rows, ids)
 
 
 def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
@@ -186,15 +189,21 @@ def _heuristic(pivot: str) -> bool:
 # stream, which 3,128 of the 4,231 posets on 5 events and 77,890 of the
 # 130,023 on 6 find filled.  A list is stored here only when it is made,
 # after the oldest is deleted from a dict that holds _SUB_LISTS of them,
-# so no dict ever holds more.  _count_variant counts the conflicts for the
-# bench (every level built, under each dedupe placement, over one list of
-# posets), and generate_conflicts runs a single step.  _count_packed
-# counts the conflicts as up-sets of the disjoint-pair poset and shares no
-# code with the recursion, so each checks the other.  Each poset is
-# relabeled (_relabeled, through one lazily filled table per event order,
-# _relabel_table) and its count memoized on that copy (_count_upsets), so
-# the isomorphic posets that relabel alike are counted once: 4,824 counts
-# and 720 tables for the 130,023 posets on 6 events.
+# so no dict ever holds more.  The enumerate stream and the CLI's verify
+# call it; the library calls, which return pair sets, do not.
+# allowed_conflicts grows the same list of the rows the first pivot
+# leaves, with no memo, and _unpack_extensions takes that step on pair
+# sets: each conflict of the list is unpacked once, and each extension
+# is its pairs joined with {m} x Y u Y x {m}.  generate_conflicts runs
+# _unpack_extensions on its one conflict.  _count_variant counts the
+# conflicts for the bench (every level built, under each dedupe placement,
+# over one list of posets).  _count_packed counts the conflicts as up-sets
+# of the disjoint-pair poset and shares no code with the recursion, so
+# each checks the other.  Each poset is relabeled (_relabeled, through one
+# lazily filled table per event order, _relabel_table) and its count
+# memoized on that copy (_count_upsets), so the isomorphic posets that
+# relabel alike are counted once: 4,824 counts and 720 tables for the
+# 130,023 posets on 6 events.
 # ---------------------------------------------------------------------------
 
 
@@ -315,6 +324,50 @@ def _grow(confs: list[tuple[int, ...]], steps, rows, unique=dict.fromkeys) -> li
                 out.append(tuple(ext))
         confs = out
     return confs
+
+
+def _unpack_extensions(confs, step, rows, ids) -> list[Rel]:
+    """The pair sets of _grow(confs, [step], rows), in the same order.
+
+    Built as the paper builds them: each conflict c of confs is unpacked
+    once and kept as its Y = {} extension, and every other extension is
+    c's pairs joined with {m} x Y u Y x {m}, which is made once per Y
+    from the pair table's shared tuples.  No packed extension is made,
+    and no union of k rows per extension.  The base and Ys are _grow's,
+    repeated here: a helper that both called slowed the in-process
+    listing of the posets on 5 events from 43-44 ms to 45-47 ms.  The
+    pair table is made at the first conflict that needs it, so a poset
+    whose one conflict is the empty one makes none.
+    """
+    m, base_succ, s1 = step
+    mbit = 1 << m
+    succ = bits(base_succ)
+    joins_by_base: dict[int, list[Rel]] = {}
+    with_m: dict[int, Rel] = {}
+    table = None
+    out = []
+    for c in confs:
+        base = s1
+        for j in succ:
+            base &= c[j]
+        if table is None:
+            if not (base or any(c)):
+                out.append(frozenset())  # the empty conflict, with Y = {} alone
+                continue
+            table = _pair_table(ids)
+        pairs = _unpack_conflict(c, table)
+        out.append(pairs)  # Y = {}
+        if not base:
+            continue
+        joins = joins_by_base.get(base)
+        if joins is None:
+            joins = joins_by_base[base] = []
+            for y in dict.fromkeys(_images(base, rows)):
+                if y not in with_m:
+                    with_m[y] = table[m][y].union(*[table[j][mbit] for j in bits(y)])
+                joins.append(with_m[y])
+        out += [pairs | join for join in joins]
+    return out
 
 
 # Entries of a sub_lists memo of _conflicts_packed.  Unbounded, an enumerate

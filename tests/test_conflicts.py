@@ -21,7 +21,9 @@ from eventstruct.conflicts import (
 from eventstruct.es_enum import enumerate_event_structures
 from eventstruct.oracle import brute_force_conflicts
 from eventstruct.order_enum import enumerate_posets
-from eventstruct.relations import bits, is_event_structure, remove_element, rows_to_rel
+from eventstruct.relations import (
+    bits, cover_rows, is_event_structure, remove_element, rows_to_rel,
+)
 from spec import minimal_elements, reflexive_transitive_closure
 
 CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -483,19 +485,61 @@ def test_a_step_builds_its_ys_once_per_distinct_base(small_posets, monkeypatch):
 
 
 def test_allowed_conflicts_keeps_no_memo(monkeypatch):
-    memos = []
-    listed = conflicts._conflicts_packed
+    grown = []
+    grow = conflicts._grow
 
-    def recorded(rows, **kwargs):
-        memos.append(kwargs.get("sub_lists"))
-        return listed(rows, **kwargs)
+    def recorded(confs, steps, rows, *args):
+        grown.append((confs, list(steps), rows))
+        return grow(confs, steps, rows, *args)
 
-    monkeypatch.setattr(conflicts, "_conflicts_packed", recorded)
+    monkeypatch.setattr(conflicts, "_grow", recorded)
     before = dict(vars(conflicts))
     first = allowed_conflicts(V_POSET)
+    assert len(grown) == 1  # the list of the events the first pivot leaves
     assert allowed_conflicts(V_POSET) == first
-    assert memos == [None, None]
+    assert grown[1] == grown[0]  # listed again, not looked up
     assert vars(conflicts) == before  # no module attribute made or rebound
+
+
+def _unpacked_route(p, **kwargs):
+    """allowed_conflicts(p) through the packed list and a per-conflict unpacking."""
+    rows, ids = conflicts._packed(p)
+    table = conflicts._pair_table(ids)
+    return [conflicts._unpack_conflict(c, table) for c in conflicts._conflicts_packed(rows, **kwargs)]
+
+
+def _extended_route(p, m, c, immediate_only=True):
+    """generate_conflicts(p, m, c) through _grow and a per-conflict unpacking."""
+    rows, ids = conflicts._packed(p)
+    index = {x: i for i, x in enumerate(ids)}
+    conf = [0] * len(rows)
+    for x, y in c:
+        conf[index[x]] |= 1 << index[y]
+    k = index[m]
+    succ = cover_rows(rows)[k] if immediate_only else rows[k] & ~(1 << k)
+    step = (k, succ, ((1 << len(rows)) - 1) ^ 1 << k)
+    table = conflicts._pair_table(ids)
+    return [conflicts._unpack_conflict(e, table) for e in conflicts._grow([tuple(conf)], [step], rows)]
+
+
+def test_lists_equal_the_packed_route():
+    # the same conflicts in the same order as unpacking each packed one
+    for n in range(6):
+        for p in enumerate_posets(n):
+            variants = [(h, i) for h in (True, False) for i in (True, False)] if n <= 4 else [(True, True)]
+            for heuristic, immediate_only in variants:
+                pivot = "heuristic" if heuristic else "first"
+                got = allowed_conflicts(p, pivot=pivot, immediate_only=immediate_only)
+                assert got == _unpacked_route(
+                    p, heuristic=heuristic, immediate_only=immediate_only
+                ), (p, pivot, immediate_only)
+            if n > 4:
+                continue
+            for m in minimal_elements(p):
+                for c in allowed_conflicts(remove_element(p, m)):
+                    for immediate_only in (True, False):
+                        got = generate_conflicts(p, m, c, immediate_only=immediate_only)
+                        assert got == _extended_route(p, m, c, immediate_only), (p, m, c)
 
 
 def test_pivot_never_conflicts_with_itself():
@@ -570,11 +614,11 @@ def _dag(draw, k):
 
 
 @st.composite
-def sparse_posets(draw):
-    # a random DAG on k events, closed transitively, on shuffled ids from 0..10**6
+def sparse_posets(draw, id_range=st.integers(0, 10**6)):
+    # a random DAG on k events, closed transitively, on shuffled ids drawn from id_range
     k = draw(st.integers(0, 4))
     edges = _dag(draw, k)
-    ids = draw(st.sets(st.integers(0, 10**6), min_size=k, max_size=k))
+    ids = draw(st.sets(id_range, min_size=k, max_size=k))
     ids = draw(st.permutations(sorted(ids)))
     return _relabel(reflexive_transitive_closure(edges, range(k)), ids)
 
@@ -589,6 +633,17 @@ def test_sparse_shuffled_ids_match_brute_force(p):
     assert count_allowed_conflicts(p) == conflicts._count_packed(rows) == len(listed)
     if p:
         assert choose_pivot(p).pivot in minimal_elements(p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sparse_posets(st.integers(0, 10**6) | st.integers(2**40, 2**64)), st.data())
+def test_lists_on_sparse_ids_equal_the_packed_route(p, data):
+    assert allowed_conflicts(p) == _unpacked_route(p)
+    assert allowed_conflicts(p, pivot="first") == _unpacked_route(p, heuristic=False)
+    if p:
+        m = data.draw(st.sampled_from(sorted(minimal_elements(p))))
+        c = data.draw(st.sampled_from(allowed_conflicts(remove_element(p, m))))
+        assert generate_conflicts(p, m, c) == _extended_route(p, m, c)
 
 
 def _sparse_ids(draw, k):

@@ -145,12 +145,12 @@ def test_each_stream_has_its_own_memo(monkeypatch):
     assert counts[0] == counts[1] == counts[2]
 
 
-def test_every_listing_at_five_is_certified():
+def _assert_listings_certified(n):
     # Each listed conflict is allowed, no two are equal, and there are as
     # many as the up-set count: so each list is exactly the allowed
     # conflicts.  The rows are read through relations.bits alone, sharing
     # no code with conflicts._grow or _count_upsets.
-    for rows, _, confs in es_enum._by_poset(order_enum._poset_rows(5)):
+    for rows, _, confs in es_enum._by_poset(order_enum._poset_rows(n)):
         assert len(set(confs)) == len(confs) == conflicts._count_packed(rows)
         for conf in confs:
             assert len(conf) == len(rows)
@@ -160,6 +160,16 @@ def test_every_listing_at_five_is_certified():
                     assert a in bits(conf[b])  # symmetric
                     assert rows[a] & rows[b] == 0  # disjoint: no common upper bound
                     assert not bits(rows[b] & ~row)  # inherited by all above b
+
+
+def test_every_listing_at_five_is_certified():
+    _assert_listings_certified(5)
+
+
+@pytest.mark.slow
+def test_every_listing_at_six_is_certified():
+    # the 130,023 posets on 6 events, 3,528,258 conflicts in all
+    _assert_listings_certified(6)
 
 
 def test_counts():
