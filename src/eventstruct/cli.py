@@ -1,15 +1,17 @@
 """Command line front end: count, enumerate, verify, OEIS b-files, benchmarks.
 
-Exit codes: 0 success, 1 usage error or failed worker, 2 guard refusal,
-3 verification or consistency failure, 130 interrupted (Ctrl-C).
+Exit codes: 0 success or a reader that closed early; 1 usage error, failed
+worker or an output that cannot be opened or written (one stderr line);
+2 guard refusal; 3 verification or consistency failure; 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from operator import getitem
 from typing import IO, Callable
 
@@ -127,6 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
+
+
+def _refuse(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_GUARD
 
 
 def _check_n(parser: argparse.ArgumentParser, n: int) -> None:
@@ -253,25 +260,11 @@ def _emit(args, out: IO[str]) -> None:
             out.write(head + conf_texts[conf] + tail)
 
 
-def _open_for_write(path: str) -> IO[str] | None:
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"eventstruct: cannot write {path}: {exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_enumerate(args, parser) -> int:
     _check_n(parser, args.n)
     if args.canonical and args.n > CANONICAL_MAX_N:
-        print(
-            f"enumerate: refusing --canonical at n={args.n} (ceiling {CANONICAL_MAX_N})",
-            file=sys.stderr,
-        )
-        return EXIT_GUARD
-    out = nullcontext(sys.stdout) if args.out is None else _open_for_write(args.out)
-    if out is None:
-        return EXIT_USAGE
+        return _refuse(f"enumerate: refusing --canonical at n={args.n} (ceiling {CANONICAL_MAX_N})")
+    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     with out as handle:
         _emit(args, handle)
     return EXIT_OK
@@ -281,12 +274,9 @@ def _cmd_verify(args, parser) -> int:
     _check_n(parser, args.n)
     n = args.n
     if n > VERIFY_MAX_N:
-        print(
-            f"verify: refusing n={n}; the brute-force oracle is guarded at "
-            f"n <= {VERIFY_MAX_N}",
-            file=sys.stderr,
+        return _refuse(
+            f"verify: refusing n={n}; the brute-force oracle is guarded at n <= {VERIFY_MAX_N}"
         )
-        return EXIT_GUARD
     # Imported here: only verify uses the brute-force oracle.
     from . import oracle
 
@@ -294,8 +284,7 @@ def _cmd_verify(args, parser) -> int:
 
     def check(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
-        status = "ok" if ok else "FAIL"
-        print(f"{name}: {status} ({detail})")
+        print(f"{name}: {'ok' if ok else 'FAIL'} ({detail})")
         if not ok:
             failures += 1
 
@@ -328,8 +317,7 @@ def _cmd_verify(args, parser) -> int:
         got_es = set(es_enum.enumerate_event_structures(n))
         check("event structures", got_es == expected_es, f"{len(expected_es)} structures")
     except oracle.OracleGuardError as exc:
-        print(f"eventstruct: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return _refuse(f"eventstruct: {exc}")
 
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
@@ -339,12 +327,10 @@ def _cmd_oeis(args, parser) -> int:
         parser.error("--max-n must be >= 0")
     ceiling = OEIS_LONG_MAX_N if args.allow_long else OEIS_DEFAULT_MAX_N
     if args.max_n > ceiling:
-        print(
+        return _refuse(
             f"oeis: refusing --max-n {args.max_n} (ceiling {ceiling}; "
-            f"use --allow-long for {OEIS_LONG_MAX_N})",
-            file=sys.stderr,
+            f"use --allow-long for {OEIS_LONG_MAX_N})"
         )
-        return EXIT_GUARD
     fn = _counter(KINDS[SEQUENCES.index(args.sequence)], es_enum._cores())
     for k in range(args.max_n + 1):
         print(f"{k + args.offset} {fn(k)}", flush=True)
@@ -354,13 +340,10 @@ def _cmd_oeis(args, parser) -> int:
 def _cmd_bench(args, parser) -> int:
     _check_n(parser, args.n)
     if args.n > BENCH_MAX_N:
-        print(f"bench: refusing n={args.n} (ceiling {BENCH_MAX_N})", file=sys.stderr)
-        return EXIT_GUARD
+        return _refuse(f"bench: refusing n={args.n} (ceiling {BENCH_MAX_N})")
     # Opened before the variants run, so an unwritable path costs no run.
-    report = nullcontext() if args.json_path is None else _open_for_write(args.json_path)
-    if report is None:
-        return EXIT_USAGE
-    with report as handle:
+    out = nullcontext() if args.json_path is None else open(args.json_path, "w", encoding="utf-8")
+    with out as handle:
         return _bench(args, handle)
 
 
@@ -416,9 +399,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except BrokenPipeError:
-        return EXIT_OK
+        code = args.func(args, parser)
+        sys.stdout.flush()  # here, so that a failed write is handled below
+        return code
     except KeyboardInterrupt:
         print("eventstruct: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -428,9 +411,22 @@ def main(argv=None) -> int:
         # Imported here: the pool module costs about 10 ms at start-up.
         from multiprocessing.pool import RemoteTraceback
 
-        if not isinstance(exc.__cause__, RemoteTraceback):
+        if isinstance(exc.__cause__, RemoteTraceback):
+            print(f"eventstruct: worker failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if not isinstance(exc, OSError):
             raise
-        print(f"eventstruct: worker failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # An output failed.  What stdout holds is written if it still can
+        # be; then fd 1 goes to devnull, so that the flush at exit cannot
+        # fail again (status 120).  A test's stand-in for stdout is left alone.
+        with suppress(OSError):
+            sys.stdout.flush()
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK  # the reader closed early
+        path = f"cannot write {exc.filename}: " if exc.filename else ""
+        print(f"eventstruct: {path}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

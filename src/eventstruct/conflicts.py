@@ -183,18 +183,19 @@ def _heuristic(pivot: str) -> bool:
 # _chain yields the pivot steps, first pivot first, from one cover pass
 # per poset (relations.cover_rows), and _grow is the one level loop over
 # them: it keeps each conflict as its own Y = {} extension and builds a
-# step's Ys once per distinct base.  _conflicts_packed lists the conflicts
-# by extending, through the first step, the list of the rows that pivot
-# leaves, which the caller's memo may hold: es_enum keeps one dict per
-# stream, which 3,128 of the 4,231 posets on 5 events and 77,890 of the
-# 130,023 on 6 find filled.  A list is stored here only when it is made,
-# after the oldest is deleted from a dict that holds _SUB_LISTS of them,
-# so no dict ever holds more.  The enumerate stream and the CLI's verify
-# call it; the library calls, which return pair sets, do not.
-# allowed_conflicts grows the same list of the rows the first pivot
-# leaves, with no memo, and _unpack_extensions takes that step on pair
-# sets: each conflict of the list is unpacked once, and each extension
-# is its pairs joined with {m} x Y u Y x {m}.  generate_conflicts runs
+# step's Ys once per distinct base.  _conflicts_packed lists the conflicts,
+# under the default pivot and base, by extending, through the first step,
+# the list of the rows that pivot leaves, which the caller's memo may
+# hold: es_enum keeps one dict per stream, which 3,128 of the 4,231
+# posets on 5 events and 77,890 of the 130,023 on 6 find filled.  A list
+# is stored here only when it is made, after the oldest is deleted from a
+# dict that holds _SUB_LISTS of them, so no dict ever holds more.  The
+# enumerate stream and the CLI's verify call it; the library calls, which
+# return pair sets, do not.  allowed_conflicts grows the list of the rows
+# the first pivot leaves, under the pivot and base it is given, with no
+# memo, and _unpack_extensions takes that step on pair sets: each
+# conflict of the list is unpacked once, and each extension is its pairs
+# joined with {m} x Y u Y x {m}.  generate_conflicts runs
 # _unpack_extensions on its one conflict.  _count_variant counts the
 # conflicts for the bench (every level built, under each dedupe placement,
 # over one list of posets).  _count_packed counts the conflicts as up-sets
@@ -377,23 +378,22 @@ def _unpack_extensions(confs, step, rows, ids) -> list[Rel]:
 _SUB_LISTS = 1024
 
 
-def _conflicts_packed(
-    rows, *, heuristic: bool = True, immediate_only: bool = True, covers=None, sub_lists=None
-):
+def _conflicts_packed(rows, *, covers=None, sub_lists=None):
     """Duplicate-free list of the packed allowed conflicts of rows.
 
-    covers, if given, is cover_rows(rows).  The list extends, by the
-    first pivot's step, the list of sub: the same rows with that pivot's
-    row zeroed.  Its events keep their indices, so its pivots, bases and
-    Ys are those of the rest of rows' chain, and so is its list.
-    sub_lists, if given, is a dict memo of those lists by sub, for one
-    pivot rule and one immediate_only: es_enum passes one per stream,
+    The pivots are the default ones and each base meets the immediate
+    successors' rows, as in every stream.  covers, if given, is
+    cover_rows(rows).  The list extends, by the first pivot's step, the
+    list of sub: the same rows with that pivot's row zeroed.  Its events
+    keep their indices, so its pivots, bases and Ys are those of the
+    rest of rows' chain, and so is its list.  sub_lists, if given, is a
+    dict memo of those lists by sub: es_enum passes one per stream,
     where posets that differ only in their first pivot's row share one
     sub.  A list is stored only when it is made, so the dict's order
     puts the oldest first, and that one is deleted before a store into
     a dict that holds _SUB_LISTS lists.
     """
-    steps = _chain(rows, heuristic, immediate_only, covers)
+    steps = _chain(rows, True, True, covers)
     first = next(steps, None)
     if first is None:
         return [()]  # no events: the empty conflict only

@@ -1,13 +1,16 @@
 """Pair-set references that the tests check the package against.
 
 Plain definitions on frozensets of (int, int) pairs, sharing no code
-with the packed path: the package itself runs none of them.
+with the packed path: the package itself runs none of them.  The one
+exception is packed_conflicts, the packed list under any pivot rule and
+base, which the package lists only under the defaults.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from eventstruct import conflicts
 from eventstruct.relations import Rel, _image_map, field_of, inverse
 
 
@@ -39,3 +42,12 @@ def reflexive_transitive_closure(r: Rel, carrier: Iterable[int]) -> Rel:
         if not new:
             return frozenset(pairs)
         pairs |= new
+
+
+def packed_conflicts(rows, heuristic: bool = True, immediate_only: bool = True) -> list:
+    """The packed allowed conflicts of rows, grown from _chain through _grow with no memo.
+
+    With the defaults this is the list conflicts._conflicts_packed makes.
+    """
+    steps = [*conflicts._chain(rows, heuristic, immediate_only)][::-1]  # last pivot first
+    return conflicts._grow([(0,) * len(rows)], steps, rows)

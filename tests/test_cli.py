@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -354,20 +355,36 @@ def _fail_count(rows):
     raise RuntimeError("count failed")
 
 
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _no_space(*args):
+    raise NO_SPACE
+
+
 @pytest.mark.skipif(es_enum._cores() < 2, reason="needs two CPUs for a worker pool")
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="only forked workers inherit the patched count",
 )
-def test_worker_failure_is_one_stderr_line(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (_fail_count, "RuntimeError: count failed"),
+        # a worker's OSError is its failure, not one of the output
+        (_no_space, f"OSError: {NO_SPACE}"),
+    ],
+    ids=["RuntimeError", "OSError"],
+)
+def test_worker_failure_is_one_stderr_line(fail, message, monkeypatch, capsys):
     # chunks of 64 parents split the 355 order-4 preorders, so n = 5 uses the pool
     monkeypatch.setattr(es_enum, "_BATCH_SIZE", 64)
-    monkeypatch.setattr(conflicts, "_count_packed", _fail_count)
+    monkeypatch.setattr(conflicts, "_count_packed", fail)
     code = cli.main(["count", "es", "--n", "5", "--workers", "2"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE == 1
     assert captured.out == ""
-    assert captured.err == "eventstruct: worker failed: RuntimeError: count failed\n"
+    assert captured.err == f"eventstruct: worker failed: {message}\n"
 
 
 def test_in_process_failure_keeps_its_traceback(monkeypatch):
@@ -535,3 +552,107 @@ def test_bench_json_unwritable_path(tmp_path):
     assert result.stdout == ""
     assert f"eventstruct: cannot write {path}:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# One small run of each command; bench stays below n = 5, where it prints progress.
+OUTPUT_COMMANDS = [
+    ["count", "es", "--n", "4"],
+    ["oeis", "A284276", "--max-n", "4"],
+    ["verify", "--n", "2"],
+    ["bench", "--n", "3"],
+    ["enumerate", "es", "--n", "3"],
+]
+
+
+def _buffered_env() -> dict:
+    # With PYTHONUNBUFFERED set, each write reaches the output inside the
+    # command, so a failure of the interpreter's own flush at exit would go unseen.
+    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_closed_reader_ends_the_command_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)  # closed before the command starts, so its first write fails
+    try:
+        result = subprocess.run(
+            BASE + argv, stdout=write, stderr=subprocess.PIPE, text=True, env=_buffered_env()
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv",
+    OUTPUT_COMMANDS
+    + [
+        ["enumerate", "es", "--n", "3", "--out", "/dev/full"],
+        ["bench", "--n", "3", "--json", "/dev/full"],
+    ],
+    ids=" ".join,
+)
+def test_an_unwritable_output_is_one_stderr_line(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            BASE + argv,
+            stdout=subprocess.DEVNULL if "/dev/full" in argv else full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_buffered_env(),
+        )
+    assert result.returncode == cli.EXIT_USAGE
+    assert result.stderr == f"eventstruct: {NO_SPACE}\n"
+
+
+@needs_dev_full
+def test_bench_prints_its_table_when_its_report_fails():
+    argv = ["bench", "--n", "3", "--json", "/dev/full"]
+    result = subprocess.run(BASE + argv, capture_output=True, text=True, env=_buffered_env())
+    assert result.returncode == cli.EXIT_USAGE
+    assert len(result.stdout.splitlines()) == 7  # header + 3 dedupe x 2 pivot
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "es", "--n", "2", "--out"], ["bench", "--n", "2", "--json"]],
+    ids=" ".join,
+)
+def test_an_unopenable_output_names_its_path(argv, tmp_path):
+    path = tmp_path / "no" / "dir"
+    result = run_cli(*argv, str(path))
+    assert (result.returncode, result.stdout) == (cli.EXIT_USAGE, "")
+    assert result.stderr == (
+        f"eventstruct: cannot write {path}: [Errno {errno.ENOENT}] "
+        f"{os.strerror(errno.ENOENT)}: '{path}'\n"
+    )
+
+
+class _Failing(io.StringIO):
+    """A stand-in for stdout whose every write raises error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, code, err",
+    [
+        (NO_SPACE, cli.EXIT_USAGE, f"eventstruct: {NO_SPACE}\n"),
+        (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), cli.EXIT_OK, ""),
+    ],
+    ids=["no-space", "broken-pipe"],
+)
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_failed_write_in_process(argv, error, code, err, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _Failing(error))
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == err

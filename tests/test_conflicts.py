@@ -24,7 +24,7 @@ from eventstruct.order_enum import enumerate_posets
 from eventstruct.relations import (
     bits, cover_rows, is_event_structure, remove_element, rows_to_rel,
 )
-from spec import minimal_elements, reflexive_transitive_closure
+from spec import minimal_elements, packed_conflicts, reflexive_transitive_closure
 
 CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
 ANTICHAIN2 = frozenset({(0, 0), (1, 1)})
@@ -234,9 +234,11 @@ def test_full_successor_base_gives_the_same_list():
     for n in range(6):
         for rows in order_enum._poset_rows(n):
             for heuristic in (True, False):
-                default = conflicts._conflicts_packed(rows, heuristic=heuristic)
-                full = conflicts._conflicts_packed(rows, heuristic=heuristic, immediate_only=False)
+                default = packed_conflicts(rows, heuristic)
+                full = packed_conflicts(rows, heuristic, immediate_only=False)
                 assert full == default, (rows, heuristic)
+            # the defaults list what the package's own listing lists
+            assert packed_conflicts(rows) == conflicts._conflicts_packed(rows), rows
 
 
 def test_count_matches_list_length():
@@ -251,7 +253,7 @@ def test_packed_count_matches_list_length_at_five():
     for rows in order_enum._poset_rows(5):
         count = conflicts._count_packed(rows)
         for heuristic in (True, False):
-            assert count == len(conflicts._conflicts_packed(rows, heuristic=heuristic))
+            assert count == len(packed_conflicts(rows, heuristic))
 
 
 def test_posets_with_a_maximum_have_only_the_empty_conflict(monkeypatch):
@@ -276,9 +278,9 @@ def test_upset_count_matches_the_recursion_at_six():
     upsets = pivot = 0
     for rows in order_enum._poset_rows(6):
         count = conflicts._count_packed(rows)
-        assert count == len(conflicts._conflicts_packed(rows, heuristic=True)), rows
+        assert count == len(conflicts._conflicts_packed(rows)), rows
         upsets += count
-        pivot += len(conflicts._conflicts_packed(rows, heuristic=False))
+        pivot += len(packed_conflicts(rows, heuristic=False))
     assert upsets == pivot == 3528258
 
 
@@ -346,7 +348,7 @@ def test_bench_variants_match_the_count_per_poset():
     for n in range(5):
         for rows in order_enum._poset_rows(n):
             for heuristic in (True, False):
-                expected = len(conflicts._conflicts_packed(rows, heuristic=heuristic))
+                expected = len(packed_conflicts(rows, heuristic))
                 for dedupe in ("final", "late", "naive"):
                     got = conflicts._count_variant(rows, heuristic=heuristic, dedupe=dedupe)
                     assert got == expected
@@ -501,11 +503,12 @@ def test_allowed_conflicts_keeps_no_memo(monkeypatch):
     assert vars(conflicts) == before  # no module attribute made or rebound
 
 
-def _unpacked_route(p, **kwargs):
+def _unpacked_route(p, heuristic=True, immediate_only=True):
     """allowed_conflicts(p) through the packed list and a per-conflict unpacking."""
     rows, ids = conflicts._packed(p)
     table = conflicts._pair_table(ids)
-    return [conflicts._unpack_conflict(c, table) for c in conflicts._conflicts_packed(rows, **kwargs)]
+    listed = packed_conflicts(rows, heuristic, immediate_only)
+    return [conflicts._unpack_conflict(c, table) for c in listed]
 
 
 def _extended_route(p, m, c, immediate_only=True):
@@ -522,24 +525,26 @@ def _extended_route(p, m, c, immediate_only=True):
     return [conflicts._unpack_conflict(e, table) for e in conflicts._grow([tuple(conf)], [step], rows)]
 
 
-def test_lists_equal_the_packed_route():
+def _assert_lists_equal_the_packed_route(n):
     # the same conflicts in the same order as unpacking each packed one
+    for p in enumerate_posets(n):
+        variants = [(h, i) for h in (True, False) for i in (True, False)] if n <= 4 else [(True, True)]
+        for heuristic, immediate_only in variants:
+            pivot = "heuristic" if heuristic else "first"
+            got = allowed_conflicts(p, pivot=pivot, immediate_only=immediate_only)
+            assert got == _unpacked_route(p, heuristic, immediate_only), (p, pivot, immediate_only)
+        if n > 4:
+            continue
+        for m in minimal_elements(p):
+            for c in allowed_conflicts(remove_element(p, m)):
+                for immediate_only in (True, False):
+                    got = generate_conflicts(p, m, c, immediate_only=immediate_only)
+                    assert got == _extended_route(p, m, c, immediate_only), (p, m, c)
+
+
+def test_lists_equal_the_packed_route():
     for n in range(6):
-        for p in enumerate_posets(n):
-            variants = [(h, i) for h in (True, False) for i in (True, False)] if n <= 4 else [(True, True)]
-            for heuristic, immediate_only in variants:
-                pivot = "heuristic" if heuristic else "first"
-                got = allowed_conflicts(p, pivot=pivot, immediate_only=immediate_only)
-                assert got == _unpacked_route(
-                    p, heuristic=heuristic, immediate_only=immediate_only
-                ), (p, pivot, immediate_only)
-            if n > 4:
-                continue
-            for m in minimal_elements(p):
-                for c in allowed_conflicts(remove_element(p, m)):
-                    for immediate_only in (True, False):
-                        got = generate_conflicts(p, m, c, immediate_only=immediate_only)
-                        assert got == _extended_route(p, m, c, immediate_only), (p, m, c)
+        _assert_lists_equal_the_packed_route(n)
 
 
 def test_pivot_never_conflicts_with_itself():

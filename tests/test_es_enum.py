@@ -13,6 +13,7 @@ from eventstruct.es_enum import (
 )
 from eventstruct.oracle import brute_force_event_structures
 from eventstruct.relations import EventStructure, bits, cover_rows, rows_to_rel
+from spec import packed_conflicts
 
 GOLDEN_TWO = {
     EventStructure({(0, 0), (0, 1), (1, 1)}, frozenset()),
@@ -62,32 +63,28 @@ class _Bounded(dict):
         super().__setitem__(key, value)
 
 
-def _memoized(posets, heuristic):
-    # the memo protocol of _by_poset, under either pivot
+def _memoized(posets):
+    # the memo protocol of _by_poset
     memo = _Bounded()
-    return [
-        conflicts._conflicts_packed(rows, heuristic=heuristic, sub_lists=memo) for rows in posets
-    ]
+    return [conflicts._conflicts_packed(rows, sub_lists=memo) for rows in posets]
 
 
 def test_memoized_lists_equal_the_per_poset_lists(monkeypatch):
-    # In stream order and in --canonical order, under both pivots, with a
-    # memo of one entry (an eviction on every new sub-poset) and the default.
+    # In stream order and in --canonical order, with a memo of one entry
+    # (an eviction on every new sub-poset) and the default.
     default = conflicts._SUB_LISTS
     for n in range(6):
         stream = list(order_enum._poset_rows(n))
         canonical = sorted(stream, key=lambda rows: sorted(rows_to_rel(rows, range(n))))
         for posets in (stream, canonical):
-            for heuristic in (True, False):
-                alone = [conflicts._conflicts_packed(rows, heuristic=heuristic) for rows in posets]
-                for size in (1, default):
-                    monkeypatch.setattr(conflicts, "_SUB_LISTS", size)
-                    assert _memoized(posets, heuristic) == alone, (n, heuristic, size)
-                    if heuristic:
-                        streamed = list(es_enum._by_poset(posets))
-                        assert [r for r, _, _ in streamed] == posets
-                        assert [c for _, c, _ in streamed] == list(map(cover_rows, posets))
-                        assert [confs for _, _, confs in streamed] == alone
+            alone = list(map(packed_conflicts, posets))
+            for size in (1, default):
+                monkeypatch.setattr(conflicts, "_SUB_LISTS", size)
+                assert _memoized(posets) == alone, (n, size)
+                streamed = list(es_enum._by_poset(posets))
+                assert [r for r, _, _ in streamed] == posets
+                assert [c for _, c, _ in streamed] == list(map(cover_rows, posets))
+                assert [confs for _, _, confs in streamed] == alone
 
 
 def test_memo_evicts_the_oldest_first(monkeypatch):
