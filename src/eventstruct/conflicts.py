@@ -29,24 +29,27 @@ _packed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import getitem
 from typing import Iterator, Sequence
 
 from .relations import (
-    Rel, RowTable, bits, columns, cover_rows, field_of, is_event_structure, is_partial_order,
-    remove_element, row_tables,
+    Rel, RowTable, _Record, bits, columns, cover_rows, field_of, is_event_structure,
+    is_partial_order, remove_element, row_tables,
 )
 
 
-@dataclass(frozen=True)
-class PivotResult:
+class PivotResult(_Record):
     """Chosen minimal element (None iff the input was empty) plus the relation without it."""
 
+    __slots__ = __match_args__ = ("pivot", "reduced")
     pivot: int | None
     reduced: Rel
+
+    def __init__(self, pivot: int | None, reduced: Rel) -> None:
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "reduced", reduced)
 
 
 def choose_pivot(p: Rel) -> PivotResult:

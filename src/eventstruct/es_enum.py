@@ -12,14 +12,12 @@ extension order).
 from __future__ import annotations
 
 import os
-import signal
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import conflicts, order_enum
-from .relations import BoolMatrix, EventStructure, cover_rows, matrix_to_rel
+from .relations import BoolMatrix, EventStructure, _Record, cover_rows, matrix_to_rel
 
 ProgressFn = Callable[[int, int], None]
 
@@ -33,11 +31,14 @@ class CountRow(NamedTuple):
     event_structures: int
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """Per-n counts, indexed by consecutive n starting at 0."""
 
+    __slots__ = __match_args__ = ("rows",)
     rows: tuple[CountRow, ...]
+
+    def __init__(self, rows: tuple[CountRow, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
 
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
@@ -119,8 +120,9 @@ def _count(
     preorders = posets = structures = 0
     context = nullcontext()
     if workers > 1:
-        # Imported only for a pool: it is about a quarter of `import eventstruct`.
+        # Imported only for a pool: multiprocessing adds about two thirds to `import eventstruct`.
         import multiprocessing
+        import signal
 
         context = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     with context as pool:

@@ -16,24 +16,27 @@ calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .relations import BoolMatrix, Rel, bits, columns, is_reflexive_on, is_transitive, matrix_to_rel
+from .relations import (
+    BoolMatrix, Rel, _Record, bits, columns, is_reflexive_on, is_transitive, matrix_to_rel,
+)
 
 RowTuple = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtensionPair:
+class ExtensionPair(_Record):
     """New last column (alpha) and new last row (beta) bordering a square matrix."""
 
+    __slots__ = __match_args__ = ("alpha", "beta")
     alpha: tuple[bool, ...]
     beta: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.alpha) != len(self.beta):
+    def __init__(self, alpha: tuple[bool, ...], beta: tuple[bool, ...]) -> None:
+        if len(alpha) != len(beta):
             raise ValueError("alpha and beta must have the same length")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 def _closed_masks(generators) -> list[int]:

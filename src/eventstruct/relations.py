@@ -11,7 +11,6 @@ the oracle alone keeps its own loop, sharing no code with that path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -104,26 +103,64 @@ def _image_map(r: Rel) -> dict[int, set[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
+class _Record:
+    """An immutable record whose fields are the names in its class's __match_args__.
+
+    A record class lists them again as its __slots__ and sets them in its
+    __init__ through object.__setattr__.  Equality, hashing, repr, pickling
+    and the refusal to assign or delete a field are a frozen dataclass's,
+    without importing dataclasses, which costs about 12 ms of each start.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BoolMatrix(_Record):
     """Square boolean matrix with rows packed as int bitmasks.
 
     Bit j of rows[i] is the (i, j) entry; entry(i, j) true means pair
     (i, j) belongs to the represented relation over {0..order-1}.
     """
 
+    __slots__ = __match_args__ = ("order", "rows")
     order: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # A tuple, as the class is frozen: a list given in would leave it unhashable.
-        object.__setattr__(self, "rows", tuple(self.rows))
+    def __init__(self, order: int, rows: Iterable[int]) -> None:
+        # A tuple, as the record is immutable: a list given in would leave it unhashable.
+        rows = tuple(rows)
         # type(): a bool is an int subclass, and a float would pass the range checks.
-        if type(self.order) is not int or self.order < 0 or len(self.rows) != self.order:
+        if type(order) is not int or order < 0 or len(rows) != order:
             raise ValueError("matrix must be square: an int order >= 0, one row bitmask per row")
-        limit = 1 << self.order
-        if any(type(row) is not int or row < 0 or row >= limit for row in self.rows):
+        limit = 1 << order
+        if any(type(row) is not int or row < 0 or row >= limit for row in rows):
             raise ValueError("row bitmasks must be ints in range for the matrix order")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_lists(cls, entries: list[list[bool]]) -> "BoolMatrix":
@@ -220,16 +257,16 @@ def matrix_to_rel(a: BoolMatrix) -> Rel:
     return rows_to_rel(a.rows, range(a.order))
 
 
-@dataclass(frozen=True)
-class EventStructure:
+class EventStructure(_Record):
     """A causality partial order paired with a conflict relation."""
 
+    __slots__ = __match_args__ = ("causality", "conflict")
     causality: Rel
     conflict: Rel
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "causality", frozenset(self.causality))
-        object.__setattr__(self, "conflict", frozenset(self.conflict))
+    def __init__(self, causality: Iterable[Pair], conflict: Iterable[Pair]) -> None:
+        object.__setattr__(self, "causality", frozenset(causality))
+        object.__setattr__(self, "conflict", frozenset(conflict))
 
     def events(self) -> set[int]:
         return field_of(self.causality)

@@ -15,7 +15,8 @@ import pytest
 
 import test_cli
 import test_conflicts
-from eventstruct import cli, conflicts
+import test_package
+from eventstruct import BoolMatrix, cli, conflicts, relations
 from test_es_enum import _assert_listings_certified
 
 
@@ -37,6 +38,10 @@ def _edited(monkeypatch, owner, name, old, new):
     made: dict = {}
     exec(code, function.__globals__, made)
     monkeypatch.setattr(owner, name, made[name])
+
+
+def _assert_bool_matrix_contract():
+    test_package._assert_record_contract(BoolMatrix, *test_package.RECORDS[BoolMatrix])
 
 
 # mutant -> (put it in place, the check that must catch it); each takes a monkeypatch.
@@ -101,6 +106,22 @@ MUTANTS = {
             mp, cli, "_emit", "conf_texts[conf] + tail", "conf_texts.make(conf) + tail"
         ),
         test_cli.test_each_distinct_conflict_is_formatted_once,
+    ),
+    # The record contract, against relations._Record.
+    "record-equal-across-classes": (
+        lambda mp: _edited(
+            mp, relations._Record, "__eq__", "other.__class__ is self.__class__",
+            "isinstance(other, _Record)",
+        ),
+        lambda mp: _assert_bool_matrix_contract(),
+    ),
+    "record-field-assigned": (
+        lambda mp: _edited(
+            mp, relations._Record, "__setattr__",
+            'raise AttributeError(f"cannot assign to field {name!r}")',
+            "object.__setattr__(self, name, value)",
+        ),
+        lambda mp: _assert_bool_matrix_contract(),
     ),
 }
 

@@ -1,9 +1,17 @@
 import ast
+import copy
 import math
+import pickle
+import subprocess
+import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import eventstruct
+from eventstruct import BoolMatrix, CountRow, CountTable, EventStructure, ExtensionPair, PivotResult
 
 PACKAGE = Path(eventstruct.__file__).parent
 
@@ -94,3 +102,72 @@ def test_every_private_default_is_passed_somewhere():
     # A default that no call in the package overrides is a configuration
     # only the tests use: drop the parameter, or build the variant in tests/.
     assert _unpassed_defaults() == []
+
+
+def test_import_loads_neither_dataclasses_nor_signal():
+    # Each CLI start pays for what the package imports: dataclasses brings
+    # inspect, ast, dis and tokenize along, and only a pool needs signal.
+    # The environment is the suite's own, so PYTHONPATH is the same.
+    code = (
+        "import sys; bare = set(sys.modules); import eventstruct, eventstruct.cli; "
+        "print(*sorted({'dataclasses', 'signal'} & (set(sys.modules) - bare)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+# record class -> (its fields, in order; a value for each)
+RECORDS = {
+    BoolMatrix: (("order", "rows"), (2, (1, 2))),
+    EventStructure: (
+        ("causality", "conflict"), (frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)}))
+    ),
+    PivotResult: (("pivot", "reduced"), (0, frozenset({(1, 1)}))),
+    ExtensionPair: (("alpha", "beta"), ((True, False), (False, False))),
+    CountTable: (("rows",), ((CountRow(0, 1, 1, 1), CountRow(1, 1, 1, 1)),)),
+}
+
+
+def _refusal(action, *args) -> str | None:
+    """The message of the AttributeError that action(*args) raises; None if it raises none."""
+    try:
+        action(*args)
+    except AttributeError as error:
+        return str(error)
+    return None
+
+
+def _assert_record_contract(cls: type, names: tuple, values: tuple) -> None:
+    """The behaviour of a frozen dataclass, which the public records keep."""
+    record = cls(*values)
+    assert cls(**dict(zip(names, values))) == record
+    assert tuple(getattr(record, name) for name in names) == values
+    same = cls(*values)
+    assert same == record and same is not record and hash(same) == hash(record)
+    # Equal only to an instance of the very same class: never to a tuple or a subclass.
+    assert record != values and values != record
+    sub = type("Sub", (cls,), {"__slots__": ()})(*values)
+    assert record != sub and sub != record
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+    for name in (*names, "other"):
+        assert _refusal(setattr, record, name, None) == f"cannot assign to field {name!r}"
+        assert _refusal(delattr, record, name) == f"cannot delete field {name!r}"
+    assert tuple(getattr(record, name) for name in names) == values
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+    assert weakref.ref(record)() is record
+    assert cls.__match_args__ == names
+    match record:
+        case cls(first) if len(names) == 1:
+            assert (first,) == values
+        case cls(first, second):
+            assert (first, second) == values
+        case _:
+            raise AssertionError(f"{record!r} does not match its class pattern")
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_keep_the_frozen_dataclass_contract(cls):
+    _assert_record_contract(cls, *RECORDS[cls])
