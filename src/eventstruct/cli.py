@@ -16,7 +16,7 @@ from operator import getitem
 from typing import IO, Callable
 
 from . import conflicts, es_enum, order_enum
-from .relations import RowTable, cover_rows, matrix_to_rel, row_tables
+from .relations import LazyTable, cover_rows, matrix_to_rel, row_tables
 # Not called here: perfbench/tracer.py wraps cli.covering_relation by name.
 from .relations import covering_relation  # noqa: F401
 
@@ -32,10 +32,6 @@ OEIS_LONG_MAX_N = 7
 BENCH_MAX_N = 6
 CANONICAL_MAX_N = 6  # at 7 the sort would hold 6.1-9.5 M keys
 PROGRESS_MIN_N = 5
-# Entries of each per-stream conflict memo of _emit: every conflict on 6
-# events (2 ** 15 of them), so nothing is evicted at n <= 6.  The 7-event
-# antichain alone has 2,097,152 conflicts.
-_CONFLICT_TEXTS = 1 << 15
 
 KINDS = ("preorders", "posets", "es")
 SEQUENCES = ("A000798", "A001035", "A284276")  # the counts of KINDS, by position
@@ -172,25 +168,9 @@ def _cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
-def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[RowTable]:
+def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[LazyTable]:
     """One table per row index i: row mask -> text, where pair (i, j) reads as piece(i, j)."""
-    return row_tables(range(n), lambda i: [piece(i, j) for j in range(n)], "".join)
-
-
-class _Memo(dict):
-    """Packed conflict -> make(conflict), made on first use; emptied when full."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[tuple[int, ...]], str]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, conf: tuple[int, ...]) -> str:
-        if len(self) >= _CONFLICT_TEXTS:
-            self.clear()
-        value = self[conf] = self.make(conf)
-        return value
+    return row_tables([[piece(i, j) for j in range(n)] for i in range(n)], "".join)
 
 
 def _emit(args, out: IO[str]) -> None:
@@ -198,7 +178,7 @@ def _emit(args, out: IO[str]) -> None:
 
     A relation's text is the join of its rows' texts, looked up per (row
     index, row mask).  Each causality is formatted once for all its
-    conflicts, and each distinct conflict once per stream (a _Memo).
+    conflicts, and each distinct conflict once per stream (a LazyTable).
     Rows then bits ascending is the order of the sorted pair list, so
     every record lists its pairs sorted.
     """
@@ -221,12 +201,13 @@ def _emit(args, out: IO[str]) -> None:
         draw = cover_rows if kind == "posets" and fmt == "dot" else tuple
         groups = ((rows, draw(rows), [(0,) * n]) for rows in rows_stream)
 
+    conf_texts = LazyTable()
     if fmt == "dot":
         arcs = _row_texts(n, lambda i, j: f"  {i} -> {j};\n" if i != j else "")
         dashed = _row_texts(
             n, lambda i, j: f"  {i} -> {j} [style=dashed, dir=none];\n" if i < j else ""
         )
-        conf_texts = _Memo(lambda conf: "".join(map(getitem, dashed, conf)))
+        conf_texts.make = lambda conf: "".join(map(getitem, dashed, conf))
         vertices = "".join(f"  {v};\n" for v in range(n))
     else:
         # Each pair's text leads with its separator; cut drops the first one.
@@ -234,14 +215,15 @@ def _emit(args, out: IO[str]) -> None:
             texts, cut = _row_texts(n, lambda i, j: f",[{i},{j}]"), 1
         else:
             texts, cut = _row_texts(n, lambda i, j: f", ({i},{j})"), 2
-        conf_texts = _Memo(lambda conf: "".join(map(getitem, texts, conf))[cut:])
+        conf_texts.make = lambda conf: "".join(map(getitem, texts, conf))[cut:]
     if args.canonical:
-        conf_key = _Memo(key).__getitem__
+        conf_keys = LazyTable()
+        conf_keys.make = key
 
     index = 0
     for rows, covers, confs in groups:
         if args.canonical:
-            confs = sorted(confs, key=conf_key)
+            confs = sorted(confs, key=conf_keys.__getitem__)
         if fmt == "dot":
             head = vertices + "".join(map(getitem, arcs, covers))
             for conf in confs:

@@ -30,12 +30,12 @@ _packed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import product
 from operator import getitem
 from typing import Iterator, Sequence
 
 from .relations import (
-    Rel, RowTable, _Record, bits, columns, cover_rows, field_of, is_event_structure,
+    LazyTable, Rel, _Record, bits, columns, cover_rows, field_of, is_event_structure,
     is_partial_order, remove_element, row_tables,
 )
 
@@ -89,11 +89,12 @@ def generate_conflicts(p: Rel, m: int, c: Rel, *, immediate_only: bool = True) -
     allowed conflict for remove_element(p, m).  With immediate_only=False
     the base intersection runs over all strict successors of m instead of
     only the immediate ones; the output set is the same.  Raises
-    ValueError when m or an id of p or c is not a natural number, when p
-    is not a partial order or m is not minimal in it, or when c is not
-    an allowed conflict of remove_element(p, m), which refuses a c that
-    names m or an event outside p.
+    ValueError when an element of p or c is not a pair, an id or m is not
+    a natural number, p is not a partial order, m is not minimal in p, or
+    c is not an allowed conflict of remove_element(p, m) (so c may name
+    neither m nor an event outside p).
     """
+    _check_pairs(c)
     if any(type(x) is not int or x < 0 for x in (m, *(x for pair in c for x in pair))):
         raise ValueError("event ids must be natural numbers")  # a bool is no id either
     rows, ids = _packed(p)
@@ -117,8 +118,8 @@ def allowed_conflicts(
     """Duplicate-free list of every conflict relation valid for the poset p.
 
     The relations of one call share their pair tuples, which are
-    immutable: a call on k events makes at most k*k of them, a row's k
-    at its first nonempty use; with fresh tuples per conflict the result
+    immutable: a call on k events makes k*k of them, at the first
+    conflict that has a pair; with fresh tuples per conflict the result
     below held 56.6 MiB.  Each conflict of the poset without the first
     pivot m is unpacked once, and each extension is that set joined with
     {m} x Y u Y x {m} (see _unpack_extensions).  For the 6-event
@@ -198,16 +199,18 @@ def _heuristic(pivot: str) -> bool:
 # the first pivot leaves, under the pivot and base it is given, with no
 # memo, and _unpack_extensions takes that step on pair sets: each
 # conflict of the list is unpacked once, and each extension is its pairs
-# joined with {m} x Y u Y x {m}.  generate_conflicts runs
+# joined with {m} x Y u Y x {m}, made once per base and Y.  The pairs come
+# from one relations.LazyTable per row (_pair_table), which makes a row
+# mask's pair set on its first lookup.  generate_conflicts runs
 # _unpack_extensions on its one conflict.  _count_variant counts the
 # conflicts for the bench (every level built, under each dedupe placement,
 # over one list of posets).  _count_packed counts the conflicts as up-sets
 # of the disjoint-pair poset and shares no code with the recursion, so
 # each checks the other.  Each poset is relabeled (_relabeled, through one
-# lazily filled table per event order, _relabel_table) and its count
-# memoized on that copy (_count_upsets), so the isomorphic posets that
-# relabel alike are counted once: 4,824 counts and 720 tables for the
-# 130,023 posets on 6 events.
+# LazyTable per event order, _relabel_table) and its count memoized on
+# that copy (_count_upsets), so the isomorphic posets that relabel alike
+# are counted once: 4,824 counts and 720 tables for the 130,023 posets on
+# 6 events.
 # ---------------------------------------------------------------------------
 
 
@@ -218,8 +221,15 @@ def _packed(p: Rel) -> tuple[list[int], tuple[int, ...]]:
     p is a partial order on natural-number ids.
     """
     p = frozenset(p)
-    # Looked up as a module attribute, which the benchmark's traced run wraps.
-    if not is_partial_order(p):
+    try:
+        # Looked up as a module attribute, which the benchmark's traced run wraps.
+        ordered = is_partial_order(p)
+    except (TypeError, ValueError):  # raised only by an element that does not unpack as a pair
+        ordered = False
+    if not ordered:
+        # Checked only here: checking the 15 pairs of a 6-event poset first took
+        # 1.5-1.9 us of a call's 52 (timeit, CPython 3.11.7, 2-vCPU host).
+        _check_pairs(p)
         raise ValueError("relation is not a partial order")
     field = field_of(p)
     # Every id, before sorting: a float passes a sign check, and mixed types do
@@ -234,16 +244,21 @@ def _packed(p: Rel) -> tuple[list[int], tuple[int, ...]]:
     return rows, ids
 
 
-def _pair_table(ids: Sequence[int]) -> list[RowTable]:
+def _check_pairs(r) -> None:
+    if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in r):
+        raise ValueError("relation elements must be pairs")
+
+
+def _pair_table(ids: Sequence[int]) -> list[LazyTable]:
     """One table per row index i: conflict row mask -> frozenset of its pairs (ids[i], ids[j]).
 
-    Each row's k pairs are made once, so every entry, and every conflict
-    unpacked through the tables, shares them.
+    Every entry shares the k * k pairs made here, which product lists row by row.
     """
-    return row_tables(ids, lambda x: list(zip(repeat(x), ids)), frozenset)
+    # zip over k references to one iterator cuts that list into rows of k.
+    return row_tables(zip(*[iter(product(ids, repeat=2))] * len(ids)), frozenset)
 
 
-def _unpack_conflict(conf: Sequence[int], table: list[RowTable]) -> Rel:
+def _unpack_conflict(conf: Sequence[int], table: list[LazyTable]) -> Rel:
     """The pairs of the packed conflict conf: the union of its rows' entries in table.
 
     The union copies the entries' stored hashes, so no pair is hashed
@@ -335,19 +350,18 @@ def _unpack_extensions(confs, step, rows, ids) -> list[Rel]:
 
     Built as the paper builds them: each conflict c of confs is unpacked
     once and kept as its Y = {} extension, and every other extension is
-    c's pairs joined with {m} x Y u Y x {m}, which is made once per Y
-    from the pair table's shared tuples.  No packed extension is made,
-    and no union of k rows per extension.  The base and Ys are _grow's,
-    repeated here: a helper that both called slowed the in-process
-    listing of the posets on 5 events from 43-44 ms to 45-47 ms.  The
-    pair table is made at the first conflict that needs it, so a poset
-    whose one conflict is the empty one makes none.
+    c's pairs joined with {m} x Y u Y x {m}, which is made once per base
+    and Y from the pair table's shared tuples.  No packed extension is
+    made, and no union of k rows per extension.  The base and Ys are
+    _grow's, repeated here: a helper that both called slowed the
+    in-process listing of the posets on 5 events from 43-44 ms to 45-47
+    ms.  The pair table is made at the first conflict that needs it, so
+    a poset whose one conflict is the empty one makes none.
     """
     m, base_succ, s1 = step
     mbit = 1 << m
     succ = bits(base_succ)
     joins_by_base: dict[int, list[Rel]] = {}
-    with_m: dict[int, Rel] = {}
     table = None
     out = []
     for c in confs:
@@ -365,11 +379,10 @@ def _unpack_extensions(confs, step, rows, ids) -> list[Rel]:
             continue
         joins = joins_by_base.get(base)
         if joins is None:
-            joins = joins_by_base[base] = []
-            for y in dict.fromkeys(_images(base, rows)):
-                if y not in with_m:
-                    with_m[y] = table[m][y].union(*[table[j][mbit] for j in bits(y)])
-                joins.append(with_m[y])
+            joins = joins_by_base[base] = [
+                table[m][y].union(*[table[j][mbit] for j in bits(y)])
+                for y in dict.fromkeys(_images(base, rows))
+            ]
         out += [pairs | join for join in joins]
     return out
 
@@ -428,14 +441,11 @@ def _relabeled(rows) -> tuple[int, ...]:
 # Sized so that the 5,040 event orders met among the posets on 7 events
 # (all 7! of them) fit: a table is filled once per order, not once per poset.
 @lru_cache(maxsize=1 << 13)
-def _relabel_table(order: tuple[int, ...]) -> RowTable:
-    """Row mask over the old indices -> the same row over the positions in order.
-
-    Each entry is made on its first lookup, so a one-off relabeling
-    fills at most one entry per row.
-    """
-    # The row's pieces: old index e -> 1 << its position in order.
-    return row_tables([order], lambda _: [1 << order.index(e) for e in range(len(order))], sum)[0]
+def _relabel_table(order: tuple[int, ...]) -> LazyTable:
+    """Row mask over the old indices -> the same row over the positions in order."""
+    # Old index e -> 1 << its position in order: sorting the positions by
+    # the index they hold inverts order.
+    return row_tables([[1 << i for i in sorted(range(len(order)), key=order.__getitem__)]], sum)[0]
 
 
 def _count_packed(rows) -> int:

@@ -42,9 +42,13 @@ class CountTable(_Record):
 
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
-    """Yield every event structure over {0..n-1}, without repetition."""
+    """Every event structure over {0..n-1} once, as a lazy stream; n is checked at the call."""
     if type(n) is not int or n < 0:
         raise ValueError("n must be an int >= 0")
+    return _structures(n)
+
+
+def _structures(n: int) -> Iterator[EventStructure]:
     # One table for the whole stream: every poset's events are 0..n-1.
     table = conflicts._pair_table(range(n))
     for rows, _, packed in _by_poset(order_enum._poset_rows(n)):

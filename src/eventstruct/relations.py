@@ -7,6 +7,7 @@ functions on immutable values.
 
 The packed code walks a row bitmask's set bits only through bits(mask);
 the oracle alone keeps its own loop, sharing no code with that path.
+Every dict of the package that makes a missing entry on lookup is a LazyTable.
 """
 
 from __future__ import annotations
@@ -216,33 +217,38 @@ def cover_rows(rows: Sequence[int]) -> list[int]:
     return covers
 
 
-class RowTable(dict):
-    """Row x's table: row mask -> join of row_pieces(x)[j] over bits(mask).
+# Entries of a LazyTable before it empties itself: every conflict on 6 events
+# (2 ** 15 of them), so a stream's conflict texts on n <= 6 events are never
+# remade, nor is a row table on k <= 15 events.  The 7-event antichain alone
+# has 2,097,152 conflicts.
+TABLE_ENTRIES = 1 << 15
 
-    Each entry is made on first use and then looked up.  The row's
-    pieces, one per column, are made at its first nonzero mask; mask 0
-    is filled by row_tables, so a row that only ever meets mask 0 makes
-    none.
+
+class LazyTable(dict):
+    """key -> make(key), made on its first lookup; emptied when it holds TABLE_ENTRIES.
+
+    make is set on each table: allowed_conflicts makes k per call, where an __init__ costs more.
     """
 
-    __slots__ = ("x", "row_pieces", "join", "pieces")
+    __slots__ = ("make",)
 
-    def __missing__(self, mask: int):
-        if self.pieces is None:
-            self.pieces = self.row_pieces(self.x)
-        value = self[mask] = self.join([self.pieces[j] for j in bits(mask)])
+    def __missing__(self, key):
+        if len(self) >= TABLE_ENTRIES:
+            self.clear()
+        value = self[key] = self.make(key)
         return value
 
 
-def row_tables(ids: Sequence[int], row_pieces: Callable, join: Callable) -> list[RowTable]:
-    """One RowTable per id x of ids; mask 0 maps to join(()) in each."""
+def row_tables(pieces: Iterable[Sequence], join: Callable) -> list[LazyTable]:
+    """One LazyTable per row of pieces: row mask -> join of the row's pieces over bits(mask).
+
+    Mask 0 maps to join(()) from the start, so meeting only mask 0 makes no entry.
+    """
     empty = join(())
     tables = []
-    for x in ids:
-        # Slots set here, not in an __init__: allowed_conflicts builds k
-        # tables per call, and a Python-level __init__ per row costs more.
-        table = RowTable({0: empty})
-        table.x, table.row_pieces, table.join, table.pieces = x, row_pieces, join, None
+    for row in pieces:
+        table = LazyTable({0: empty})
+        table.make = lambda mask, piece=row.__getitem__: join(map(piece, bits(mask)))
         tables.append(table)
     return tables
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from eventstruct import cli, conflicts, es_enum, order_enum
+from eventstruct import cli, conflicts, es_enum, order_enum, relations
 from eventstruct.relations import covering_relation, rows_to_rel
 
 BASE = [sys.executable, "-m", "eventstruct"]
@@ -287,14 +287,16 @@ def test_canonical_streams_from_the_first_poset(monkeypatch):
 
 
 def _counted_memos(monkeypatch) -> list:
-    """Patch cli._Memo to record, per memo made, its misses and largest size."""
+    """Patch cli.LazyTable to record, per table that cli makes itself (its
+    per-conflict memos, not the row tables of relations.row_tables), its
+    misses and largest size."""
     memos = []
 
-    class Counted(cli._Memo):
+    class Counted(relations.LazyTable):
         __slots__ = ("misses", "largest")
 
-        def __init__(self, make):
-            super().__init__(make)
+        def __init__(self, *args):
+            super().__init__(*args)
             self.misses = self.largest = 0
             memos.append(self)
 
@@ -304,7 +306,7 @@ def _counted_memos(monkeypatch) -> list:
             self.largest = max(self.largest, len(self))
             return value
 
-    monkeypatch.setattr(cli, "_Memo", Counted)
+    monkeypatch.setattr(cli, "LazyTable", Counted)
     return memos
 
 
@@ -313,7 +315,7 @@ def _counted_memos(monkeypatch) -> list:
 def test_conflict_memo_is_exact_and_bounded(fmt, canonical, monkeypatch):
     # Bound 5 against the 64 conflicts on 4 events: every memo empties
     # again and again, and each record's bytes stay the pinned ones.
-    monkeypatch.setattr(cli, "_CONFLICT_TEXTS", 5)
+    monkeypatch.setattr(relations, "TABLE_ENTRIES", 5)
     memos = _counted_memos(monkeypatch)
     out = io.StringIO()
     cli._emit(_enumerate_args(fmt, canonical), out)

@@ -92,6 +92,33 @@ def test_generate_conflicts_refuses_ids_that_are_not_ints():
     assert len(generate_conflicts(ANTICHAIN2, 1, frozenset())) == 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: allowed_conflicts([1]),
+        lambda: count_allowed_conflicts([1]),
+        lambda: choose_pivot([1]),
+        lambda: choose_pivot_first([1]),
+        lambda: allowed_conflicts([(0, 0), (0, 0, 0)]),
+        lambda: count_allowed_conflicts([(0, 0), (1,)]),
+        lambda: generate_conflicts(ANTICHAIN2, 0, [1]),
+        lambda: generate_conflicts(ANTICHAIN2, 0, [(1,)]),
+        lambda: generate_conflicts(ANTICHAIN3, 0, [(1, 2, 0), (2, 1, 0)]),
+        lambda: generate_conflicts(ANTICHAIN2, 0, ["12"]),
+        lambda: generate_conflicts(CYCLE2, 0, [1]),  # c is checked before p
+        lambda: generate_conflicts([1], 0, frozenset()),
+    ],
+    ids=[
+        "allowed-int", "count-int", "pivot-int", "pivot-first-int", "allowed-triple",
+        "count-single", "generate-c-int", "generate-c-single", "generate-c-triples",
+        "generate-c-string", "generate-c-before-p", "generate-p-int",
+    ],
+)
+def test_elements_that_are_not_pairs_are_refused(call):
+    with pytest.raises(ValueError, match="relation elements must be pairs"):
+        call()
+
+
 def test_generate_conflicts_rejects_bad_input():
     with pytest.raises(ValueError):
         generate_conflicts(frozenset({(0, 1)}), 0, frozenset())

@@ -93,13 +93,20 @@ MUTANTS = {
         ),
         lambda mp: test_conflicts.test_generate_conflicts_antichain(),
     ),
-    # The conflict-text memo of enumerate, against cli._Memo and cli._emit.
+    # The conflict-text memo of enumerate, against relations.LazyTable and cli._emit.
     "memo-one-past-its-bound": (
         lambda mp: _edited(
-            mp, cli._Memo, "__missing__", "len(self) >= _CONFLICT_TEXTS",
-            "len(self) > _CONFLICT_TEXTS",
+            mp, relations.LazyTable, "__missing__", "len(self) >= TABLE_ENTRIES",
+            "len(self) > TABLE_ENTRIES",
         ),
         lambda mp: test_cli.test_conflict_memo_is_exact_and_bounded("jsonl", False, mp),
+    ),
+    "memo-entry-never-stored": (
+        lambda mp: _edited(
+            mp, relations.LazyTable, "__missing__", "value = self[key] = self.make(key)",
+            "value = self.make(key)",
+        ),
+        test_cli.test_each_distinct_conflict_is_formatted_once,
     ),
     "memo-text-joined-afresh": (
         lambda mp: _edited(

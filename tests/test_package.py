@@ -104,6 +104,25 @@ def test_every_private_default_is_passed_somewhere():
     assert _unpassed_defaults() == []
 
 
+def _lazy_tables() -> list[str]:
+    """The package's dict subclasses that define __missing__."""
+    return [
+        f"{module}.{node.name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and "dict" in {_called(base) for base in node.bases}
+        and any(
+            isinstance(sub, ast.FunctionDef) and sub.name == "__missing__" for sub in node.body
+        )
+    ]
+
+
+def test_one_lazily_filled_table_type():
+    # Every table that makes an entry on its first lookup is relations.LazyTable.
+    assert _lazy_tables() == ["relations.LazyTable"]
+
+
 def test_import_loads_neither_dataclasses_nor_signal():
     # Each CLI start pays for what the package imports: dataclasses brings
     # inspect, ast, dis and tokenize along, and only a pool needs signal.
