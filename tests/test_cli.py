@@ -353,7 +353,7 @@ def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
     assert captured.err == "eventstruct: interrupted\n"
 
 
-def _fail_count(rows):
+def _fail_count(*args):
     raise RuntimeError("count failed")
 
 

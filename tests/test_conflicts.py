@@ -18,7 +18,7 @@ from eventstruct.conflicts import (
     count_allowed_conflicts,
     generate_conflicts,
 )
-from eventstruct.es_enum import enumerate_event_structures
+from eventstruct.es_enum import count_event_structures, enumerate_event_structures
 from eventstruct.oracle import brute_force_conflicts
 from eventstruct.order_enum import enumerate_posets
 from eventstruct.relations import (
@@ -332,6 +332,15 @@ def _random_poset(rng, n):
     return _permuted(rows, perm)
 
 
+def _sigma_copy(rows):
+    """The poset rows relabeled by sigma, which lists the events by row, descending."""
+    n = len(rows)
+    sigma = sorted(range(n), key=rows.__getitem__, reverse=True)
+    return tuple(
+        sum(1 << j for j in range(n) if rows[sigma[i]] >> sigma[j] & 1) for i in range(n)
+    )
+
+
 def test_relabeled_copy_is_the_poset_in_an_extending_order():
     rng = random.Random(20261019)
     n40 = 40
@@ -339,15 +348,11 @@ def test_relabeled_copy_is_the_poset_in_an_extending_order():
     antichain = [1 << i for i in range(n40)]
     posets = [rows for n in range(6) for rows in order_enum._poset_rows(n)]
     posets += [_random_poset(rng, n) for n in range(7, 13) for _ in range(20)]
+    assert conflicts._relabeled(()) == ()
     for rows in posets + [chain, antichain]:
         n = len(rows)
         key = conflicts._relabeled(rows)
-        # sigma lists the events by row, descending
-        sigma = sorted(range(n), key=rows.__getitem__, reverse=True)
-        assert key == tuple(
-            sum(1 << j for j in range(n) if rows[sigma[i]] >> sigma[j] & 1)
-            for i in range(n)
-        )
+        assert key == _sigma_copy(rows)
         # index order extends the copy: no set bit j of key[i] has j < i
         assert all(key[i] & (1 << i) - 1 == 0 for i in range(n)), rows
     # one call on a new order fills mask 0 and at most one entry per row
@@ -356,6 +361,57 @@ def test_relabeled_copy_is_the_poset_in_an_extending_order():
     conflicts._relabel_table.cache_clear()
     conflicts._relabeled(shuffled)
     assert len(conflicts._relabel_table(order)) <= n40 + 1
+
+
+def _assert_children_relabel_as_sigma(parents) -> int:
+    """Check every poset child of each parent; return how many there were."""
+    checked = 0
+    for parent in parents:
+        extended = order_enum._extend_rows(parent, len(parent))
+        children = list(filter(order_enum._antisymmetric_rows, extended))
+        relabeled = list(conflicts._relabeled_children(len(parent), children))
+        assert relabeled == [_sigma_copy(c) for c in children], parent
+        checked += len(children)
+    return checked
+
+
+def _assert_stream_relabels_as_sigma(n) -> int:
+    # every poset on n events, each as a child of its order-(n - 1) preorder
+    return _assert_children_relabel_as_sigma(order_enum._rows_stream(n - 1))
+
+
+def test_children_relabel_as_each_alone():
+    assert [_assert_stream_relabels_as_sigma(n) for n in range(1, 6)] == [1, 3, 19, 219, 4231]
+
+
+def test_children_of_posets_on_sparse_shuffled_ids_relabel_as_each_alone():
+    rng = random.Random(20261021)
+    parents = []
+    for n in range(7, 13):
+        for _ in range(5):
+            ids = rng.sample(range(10**6), n)  # sparse and shuffled
+            p = _relabel(rows_to_rel(_random_poset(rng, n), range(n)), ids)
+            parents.append(tuple(conflicts._packed(p)[0]))
+    assert _assert_children_relabel_as_sigma(parents) > 5000
+
+
+@pytest.mark.slow
+def test_children_relabel_as_each_alone_at_six():
+    assert _assert_stream_relabels_as_sigma(6) == 130023
+
+
+def test_count_relabels_once_per_parent_and_new_column(monkeypatch):
+    # one relabel table lookup per (parent, new column) of the poset stream,
+    # and no poset relabeled on its own
+    def unused(rows):
+        raise AssertionError("a poset was relabeled on its own")
+
+    monkeypatch.setattr(conflicts, "_relabeled", unused)
+    for n, count, lookups in ((4, 916, 98), (5, 41099, 1678)):
+        conflicts._relabel_table.cache_clear()
+        assert count_event_structures(n) == count
+        info = conflicts._relabel_table.cache_info()
+        assert info.hits + info.misses == lookups
 
 
 def test_count_is_memoized_on_the_relabeled_copy():

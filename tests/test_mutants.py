@@ -93,6 +93,21 @@ MUTANTS = {
         ),
         lambda mp: test_conflicts.test_generate_conflicts_antichain(),
     ),
+    # The relabeling of the count stream, against conflicts._relabeled_children.
+    "relabel-new-event-last": (
+        lambda mp: _edited(
+            mp, conflicts, "_relabeled_children",
+            "tuple(sorted(range(k + 1), key=c.__getitem__, reverse=True))",
+            "(*sorted(range(k), key=c.__getitem__, reverse=True), k)",
+        ),
+        lambda mp: test_conflicts._assert_stream_relabels_as_sigma(2),
+    ),
+    "relabel-stem-kept": (  # the first child's stem serves every later child
+        lambda mp: _edited(
+            mp, conflicts, "_relabeled_children", "if c[:k] == stem:", "if stem is not None:"
+        ),
+        lambda mp: test_conflicts._assert_stream_relabels_as_sigma(2),
+    ),
     # The conflict-text memo of enumerate, against relations.LazyTable and cli._emit.
     "memo-one-past-its-bound": (
         lambda mp: _edited(
