@@ -11,9 +11,10 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Callable
 from contextlib import nullcontext, suppress
+from io import TextIOBase
 from operator import getitem
-from typing import IO, Callable
 
 from . import conflicts, es_enum, order_enum
 from .relations import LazyTable, cover_rows, matrix_to_rel, row_tables
@@ -51,10 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate and count labeled preorders, posets and event structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # --n, as count, enumerate, verify and bench all take it.
+    events = argparse.ArgumentParser(add_help=False)
+    events.add_argument("--n", type=int, required=True, help="number of events")
 
-    p_count = sub.add_parser("count", help="print the exact number of structures")
+    p_count = sub.add_parser("count", parents=[events], help="print the exact number of structures")
     p_count.add_argument("kind", choices=KINDS)
-    p_count.add_argument("--n", type=int, required=True, help="number of events")
     p_count.add_argument(
         "--workers",
         type=int,
@@ -67,9 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.set_defaults(func=_cmd_count)
 
-    p_enum = sub.add_parser("enumerate", help="stream every structure to stdout or a file")
+    p_enum = sub.add_parser(
+        "enumerate", parents=[events], help="stream every structure to stdout or a file"
+    )
     p_enum.add_argument("kind", choices=KINDS)
-    p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--format", choices=("pairs", "jsonl", "dot"), default="pairs")
     p_enum.add_argument(
         "--canonical",
@@ -84,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
+        parents=[events],
         help="check the recursive enumerations against brute force and the up-set count",
     )
-    p_verify.add_argument("--n", type=int, required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oeis = sub.add_parser("oeis", help="emit a sequence in OEIS b-file format")
@@ -106,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.set_defaults(func=_cmd_oeis)
 
     p_bench = sub.add_parser(
-        "bench", help="time the dedupe/pivot variants of the conflict recursion"
+        "bench", parents=[events], help="time the dedupe/pivot variants of the conflict recursion"
     )
-    p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument(
         "--dedupe",
         nargs="+",
@@ -130,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _refuse(message: str) -> int:
     print(message, file=sys.stderr)
     return EXIT_GUARD
-
-
-def _check_n(parser: argparse.ArgumentParser, n: int) -> None:
-    if n < 0:
-        parser.error("--n must be >= 0")
 
 
 def _progress(n: int):
@@ -159,12 +157,8 @@ def _counter(kind: str, workers: int) -> Callable[[int], int]:
     }[kind]
 
 
-def _cmd_count(args, parser) -> int:
-    _check_n(parser, args.n)
-    workers = args.workers if args.workers is not None else es_enum._cores()
-    if workers < 1:
-        parser.error("--workers must be >= 1")
-    print(_counter(args.kind, workers)(args.n))
+def _cmd_count(args) -> int:
+    print(_counter(args.kind, args.workers or es_enum._cores())(args.n))
     return EXIT_OK
 
 
@@ -173,7 +167,7 @@ def _row_texts(n: int, piece: Callable[[int, int], str]) -> list[LazyTable]:
     return row_tables([[piece(i, j) for j in range(n)] for i in range(n)], "".join)
 
 
-def _emit(args, out: IO[str]) -> None:
+def _emit(args, out: TextIOBase) -> None:
     """Write one record per (causality, conflict) straight from the packed rows.
 
     A relation's text is the join of its rows' texts, looked up per (row
@@ -242,8 +236,7 @@ def _emit(args, out: IO[str]) -> None:
             out.write(head + conf_texts[conf] + tail)
 
 
-def _cmd_enumerate(args, parser) -> int:
-    _check_n(parser, args.n)
+def _cmd_enumerate(args) -> int:
     if args.canonical and args.n > CANONICAL_MAX_N:
         return _refuse(f"enumerate: refusing --canonical at n={args.n} (ceiling {CANONICAL_MAX_N})")
     out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
@@ -252,8 +245,7 @@ def _cmd_enumerate(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
-    _check_n(parser, args.n)
+def _cmd_verify(args) -> int:
     n = args.n
     if n > VERIFY_MAX_N:
         return _refuse(
@@ -304,9 +296,7 @@ def _cmd_verify(args, parser) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _cmd_oeis(args, parser) -> int:
-    if args.max_n < 0:
-        parser.error("--max-n must be >= 0")
+def _cmd_oeis(args) -> int:
     ceiling = OEIS_LONG_MAX_N if args.allow_long else OEIS_DEFAULT_MAX_N
     if args.max_n > ceiling:
         return _refuse(
@@ -319,8 +309,7 @@ def _cmd_oeis(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, parser) -> int:
-    _check_n(parser, args.n)
+def _cmd_bench(args) -> int:
     if args.n > BENCH_MAX_N:
         return _refuse(f"bench: refusing n={args.n} (ceiling {BENCH_MAX_N})")
     # Opened before the variants run, so an unwritable path costs no run.
@@ -329,7 +318,7 @@ def _cmd_bench(args, parser) -> int:
         return _bench(args, handle)
 
 
-def _bench(args, report: IO[str] | None) -> int:
+def _bench(args, report: TextIOBase | None) -> int:
     # Listed once, outside every variant's time.
     posets = list(order_enum._poset_rows(args.n))
     variants = [(dedupe, pivot) for dedupe in args.dedupe for pivot in args.pivot]
@@ -380,8 +369,13 @@ def _bench(args, report: IO[str] | None) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The bounds of every command's counts, checked here and in this order.
+    for name, least in (("n", 0), ("max_n", 0), ("workers", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            parser.error(f"--{name.replace('_', '-')} must be >= {least}")
     try:
-        code = args.func(args, parser)
+        code = args.func(args)
         sys.stdout.flush()  # here, so that a failed write is handled below
         return code
     except KeyboardInterrupt:

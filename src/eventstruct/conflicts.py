@@ -29,10 +29,10 @@ _packed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import product
 from operator import getitem
-from typing import Iterator, Sequence
 
 from .relations import (
     LazyTable, Rel, _Record, bits, columns, cover_rows, field_of, is_event_structure,
@@ -123,12 +123,10 @@ def allowed_conflicts(
     below held 56.6 MiB.  Each conflict of the poset without the first
     pivot m is unpacked once, and each extension is that set joined with
     {m} x Y u Y x {m} (see _unpack_extensions).  For the 6-event
-    antichain on sparse ids (32,768 conflicts) the call takes 39-44 ms
-    against 95-144 ms when each conflict was unpacked as the union of
-    its k rows; its result holds 25.3 MiB (then 25.1 MiB) and the call
-    peaks at 25.4 MiB (then 28.0 MiB), since the last level is never
-    packed (medians of 7 calls in each of three alternating processes;
-    tracemalloc; 2-vCPU host, CPython 3.11.7).
+    antichain on sparse ids (32,768 conflicts) the call takes 39-44 ms;
+    its result holds 25.3 MiB and the call peaks at 25.4 MiB, since the
+    last level is never packed (medians of 7 calls in each of three
+    alternating processes; tracemalloc; 2-vCPU host, CPython 3.11.7).
     """
     rows, ids = _packed(p)
     steps = _chain(rows, _heuristic(pivot), immediate_only)
@@ -160,16 +158,16 @@ def count_allowed_conflicts(p: Rel, *, pivot: str = "heuristic") -> int:
     one table lookup per row and two hashes (the order's and the
     copy's), and no count.  The relabeling is the one-child case of the
     count stream's, which sorts once per parent and new column: about
-    2.8 us on 6 events, against 1.9 us for a sort of its own (medians of
-    21 passes over every fifth poset on 6 events, 2-vCPU host, CPython
-    3.11.7), while the stream sorts 46,922 times for the 130,023 posets
-    on 6 events.  The relabeling tables, one per event order, are kept
-    for the 8,192 most recently used orders: all 5,040 orders of the
-    posets on 7 events fit, in about 9.5 MB.
+    2.8 us on 6 events (medians of 21 passes over every fifth poset on 6
+    events, 2-vCPU host, CPython 3.11.7), while the stream sorts 46,922
+    times for the 130,023 posets on 6 events.  The relabeling tables,
+    one per event order, are kept for the 8,192 most recently used
+    orders: all 5,040 orders of the posets on 7 events fit, in about
+    9.5 MB.
     A table fills one entry per row mask on its first use, so a one-off
     count on a new order pays for that: about 16 us to relabel 8
-    events, 20 us for 12 and 85 us for 50, against 6, 8 and 33 us with
-    the bit loop (medians of 200 calls, 2-vCPU host, CPython 3.11.7).
+    events, 20 us for 12 and 85 us for 50 (medians of 200 calls, 2-vCPU
+    host, CPython 3.11.7).
     """
     rows, _ = _packed(p)
     _heuristic(pivot)
@@ -187,38 +185,6 @@ def _heuristic(pivot: str) -> bool:
 # the compact indices 0..k-1 of its sorted ids: bit j of rows[i] is set iff
 # (ids[i], ids[j]) is in the order.  A conflict is a k-tuple of symmetric
 # bitmask rows over the same indices.
-#
-# _chain yields the pivot steps, first pivot first, from one cover pass
-# per poset (relations.cover_rows), and _grow is the one level loop over
-# them: it keeps each conflict as its own Y = {} extension and builds a
-# step's Ys once per distinct base.  _conflicts_packed lists the conflicts,
-# under the default pivot and base, by extending, through the first step,
-# the list of the rows that pivot leaves, which the caller's memo may
-# hold: es_enum keeps one dict per stream, which 3,128 of the 4,231
-# posets on 5 events and 77,890 of the 130,023 on 6 find filled.  A list
-# is stored here only when it is made, after the oldest is deleted from a
-# dict that holds _SUB_LISTS of them, so no dict ever holds more.  The
-# enumerate stream and the CLI's verify call it; the library calls, which
-# return pair sets, do not.  allowed_conflicts grows the list of the rows
-# the first pivot leaves, under the pivot and base it is given, with no
-# memo, and _unpack_extensions takes that step on pair sets: each
-# conflict of the list is unpacked once, and each extension is its pairs
-# joined with {m} x Y u Y x {m}, made once per base and Y.  The pairs come
-# from one relations.LazyTable per row (_pair_table), which makes a row
-# mask's pair set on its first lookup.  generate_conflicts runs
-# _unpack_extensions on its one conflict.  _count_variant counts the
-# conflicts for the bench (every level built, under each dedupe placement,
-# over one list of posets).  _count_packed counts the conflicts as up-sets
-# of the disjoint-pair poset and shares no code with the recursion, so
-# each checks the other.  Each poset is relabeled, through one LazyTable
-# per event order (_relabel_table), and its count memoized on that copy
-# (_count_upsets), so the isomorphic posets that relabel alike are counted
-# once: 4,824 counts and 720 tables for the 130,023 posets on 6 events.
-# The count stream relabels the poset children of each parent together
-# (_relabeled_children): the children of one new column share their
-# table and every relabeled row but the new event's, so the posets on 6
-# events take 46,922 sorts and table lookups, not 130,023.  _relabeled
-# is its one-child case.
 # ---------------------------------------------------------------------------
 
 
@@ -415,7 +381,9 @@ def _conflicts_packed(rows, *, covers=None, sub_lists=None):
     where posets that differ only in their first pivot's row share one
     sub.  A list is stored only when it is made, so the dict's order
     puts the oldest first, and that one is deleted before a store into
-    a dict that holds _SUB_LISTS lists.
+    a dict that holds _SUB_LISTS lists.  The enumerate stream and the
+    CLI's verify call this; the library calls, which return pair sets,
+    do not.
     """
     steps = _chain(rows, True, True, covers)
     first = next(steps, None)

@@ -12,23 +12,19 @@ extension order).
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import conflicts, order_enum
-from .relations import BoolMatrix, EventStructure, _Record, cover_rows, matrix_to_rel
+from .relations import BoolMatrix, EventStructure, _Record, _check_int, cover_rows, matrix_to_rel
 
 ProgressFn = Callable[[int, int], None]
 
 _BATCH_SIZE = 1024  # order-(n-1) parents per pool chunk and per progress line
 
-
-class CountRow(NamedTuple):
-    n: int
-    preorders: int
-    posets: int
-    event_structures: int
+CountRow = namedtuple("CountRow", ("n", "preorders", "posets", "event_structures"))
 
 
 class CountTable(_Record):
@@ -43,8 +39,7 @@ class CountTable(_Record):
 
 def enumerate_event_structures(n: int) -> Iterator[EventStructure]:
     """Every event structure over {0..n-1} once, as a lazy stream; n is checked at the call."""
-    if type(n) is not int or n < 0:
-        raise ValueError("n must be an int >= 0")
+    _check_int(n, "n")
     return _structures(n)
 
 
@@ -88,9 +83,7 @@ def count_event_structures(
     Raises ValueError, before any preorder is listed, unless n is an int
     >= 0 and workers an int >= 1 (a bool is refused for either).
     """
-    # type() is not isinstance(): bool is a subclass of int.
-    if type(workers) is not int or workers < 1:
-        raise ValueError("workers must be an int >= 1")
+    _check_int(workers, "workers", 1)
     return _count(n, workers=workers, progress=progress)[2]
 
 
@@ -99,8 +92,7 @@ def counts_up_to(max_n: int) -> CountTable:
 
     Raises ValueError unless max_n is an int >= 0 (a bool is refused).
     """
-    if type(max_n) is not int or max_n < 0:
-        raise ValueError("max_n must be an int >= 0")
+    _check_int(max_n, "max_n")
     return CountTable(tuple(CountRow(k, *_count(k)) for k in range(max_n + 1)))
 
 
@@ -115,8 +107,7 @@ def _count(
     total) at each multiple of _BATCH_SIZE and at the total, whatever
     order the chunks finish in.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError("n must be an int >= 0")
+    _check_int(n, "n")
     if n == 0:  # no parent order: the one poset () is counted directly
         return 1, 1, conflicts._count_packed(())
     parents = list(order_enum._rows_stream(n - 1))

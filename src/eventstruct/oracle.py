@@ -8,7 +8,7 @@ a bigger guard explicitly to go further.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .relations import (
     EventStructure,

@@ -16,10 +16,11 @@ calls.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .relations import (
-    BoolMatrix, Rel, _Record, bits, columns, is_reflexive_on, is_transitive, matrix_to_rel,
+    BoolMatrix, Rel, _Record, _check_int, bits, columns, is_reflexive_on, is_transitive,
+    matrix_to_rel,
 )
 
 RowTuple = tuple[int, ...]
@@ -77,8 +78,7 @@ def _rows_stream(n: int) -> Iterator[RowTuple]:
     stream extends its parents as they come and holds one list of
     children per order.
     """
-    if type(n) is not int or n < 0:  # type(): bool is a subclass of int
-        raise ValueError("n must be an int >= 0")
+    _check_int(n, "n")
     if n == 0:
         yield ()
         return

@@ -12,11 +12,19 @@ Every dict of the package that makes a missing entry on lookup is a LazyTable.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 Pair = tuple[int, int]
 Rel = frozenset[Pair]
+
+
+def _check_int(value, name: str, least: int = 0) -> None:
+    """Raise ValueError unless value is an int >= least; a bool is refused."""
+    # type() is not isinstance(): bool is a subclass of int.
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}")
+
 
 def field_of(r: Rel) -> set[int]:
     """Union of domain and range."""

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -51,6 +52,44 @@ def test_count_refuses_workers_below_one(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.endswith("\neventstruct: error: --workers must be >= 1\n")
+
+
+# Each bound of a count, as every command that takes it refuses it.
+REFUSALS = [
+    *[(["count", kind, "--n", "-1"], "--n must be >= 0") for kind in cli.KINDS],
+    (["enumerate", "es", "--n", "-1"], "--n must be >= 0"),
+    (["enumerate", "posets", "--n", "-1", "--canonical"], "--n must be >= 0"),
+    (["verify", "--n", "-1"], "--n must be >= 0"),
+    (["bench", "--n", "-1"], "--n must be >= 0"),
+    (["oeis", "A284276", "--max-n", "-1"], "--max-n must be >= 0"),
+    (["oeis", "A284276", "--max-n", "-1", "--allow-long"], "--max-n must be >= 0"),
+    *[
+        (["count", kind, "--n", "2", "--workers", "0"], "--workers must be >= 1")
+        for kind in cli.KINDS
+    ],
+]
+
+
+def _assert_one_usage_error(argv, message):
+    """cli.main(argv) exits 1, writes no output, and writes the top-level usage line and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert (refused.value.code, out.getvalue()) == (cli.EXIT_USAGE, "")
+    assert err.getvalue() == f"{cli.build_parser().format_usage()}eventstruct: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_each_bound_is_one_usage_error(argv, message):
+    _assert_one_usage_error(argv, message)
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate", "verify", "bench"])
+def test_each_command_describes_n(command, capsys):
+    with pytest.raises(SystemExit) as shown:
+        cli.main([command, "--help"])
+    assert shown.value.code == 0
+    assert "number of events" in capsys.readouterr().out
 
 
 def test_enumerate_pairs_matches_known_listing():

@@ -3,8 +3,9 @@
 A mutant is a wrapper around one function of the package, or a copy of
 that function with one piece of its source changed, put in place with
 monkeypatch.  Each test runs its check on the package as it is, where
-it must pass, and then under the mutant, where it must raise
-AssertionError.  Each check runs at the smallest n that catches its
+it must pass, and then under the mutant, where it must fail: an assert
+raises AssertionError, and pytest.raises that sees no exception fails
+the test.  Each check runs at the smallest n that catches its
 mutant.
 """
 
@@ -15,8 +16,9 @@ import pytest
 
 import test_cli
 import test_conflicts
+import test_order_enum
 import test_package
-from eventstruct import BoolMatrix, cli, conflicts, relations
+from eventstruct import BoolMatrix, cli, conflicts, es_enum, order_enum, relations
 from test_es_enum import _assert_listings_certified
 
 
@@ -38,6 +40,15 @@ def _edited(monkeypatch, owner, name, old, new):
     made: dict = {}
     exec(code, function.__globals__, made)
     monkeypatch.setattr(owner, name, made[name])
+
+
+def _check_int_by_isinstance(monkeypatch):
+    """relations._check_int that takes a bool for an int, bound where each caller imported it."""
+    _edited(
+        monkeypatch, relations, "_check_int", "type(value) is not int", "not isinstance(value, int)"
+    )
+    for module in (es_enum, order_enum):
+        monkeypatch.setattr(module, "_check_int", relations._check_int)
 
 
 def _assert_bool_matrix_contract():
@@ -145,6 +156,19 @@ MUTANTS = {
         ),
         lambda mp: _assert_bool_matrix_contract(),
     ),
+    # The bounds of the counts, against cli.main's one check and relations._check_int.
+    "bounds-max-n-unchecked": (
+        lambda mp: _edited(
+            mp, cli, "main", '(("n", 0), ("max_n", 0), ("workers", 1))', '(("n", 0), ("workers", 1))'
+        ),
+        lambda mp: test_cli._assert_one_usage_error(
+            ["oeis", "A284276", "--max-n", "-1"], "--max-n must be >= 0"
+        ),
+    ),
+    "bounds-bool-taken-for-an-int": (
+        _check_int_by_isinstance,
+        lambda mp: test_order_enum.test_negative_n_is_refused(),
+    ),
 }
 
 
@@ -155,5 +179,5 @@ def test_the_check_catches_the_mutant(mutant, monkeypatch):
         check(mp)
     with monkeypatch.context() as mp:
         mutate(mp)
-        with pytest.raises(AssertionError):
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
             check(mp)

@@ -1,6 +1,7 @@
 import ast
 import copy
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -134,6 +135,35 @@ def test_import_loads_neither_dataclasses_nor_signal():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def _top_level_imports() -> set[str]:
+    """The modules that the package's modules import at their top level, its own excepted."""
+    found = set()
+    for tree in _trees().values():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module)
+    return found
+
+
+def _loads_typing(code: str) -> bool:
+    """Whether python -S, with the package on its path, has typing loaded after code."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; {code}; print('typing' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout == "True\n"
+
+
+def test_cli_import_loads_no_typing():
+    # -S keeps site's .pth files out: one that preloads typing would hide the import.
+    if _loads_typing(f"import {', '.join(sorted(_top_level_imports() - {'typing'}))}"):
+        pytest.skip("this Python loads typing with the other modules the package imports")
+    assert not _loads_typing("import eventstruct.cli")
 
 
 # record class -> (its fields, in order; a value for each)
